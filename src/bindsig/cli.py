@@ -13,9 +13,10 @@ import sys
 
 from .errors import BindsigError, ContextMismatch, UnknownBuiltin
 from .model import run_law_suites
-from .sigdef import Signature, builtin, parse_signature, parse_sort
+from .sigdef import Signature, TokenStream, _load_signature, parse_signature, parse_sort, tokenize
 from .subst import make_assignment, subst
 from .term import (
+    _read_term,
     chain_count,
     check_context,
     enumerate_terms,
@@ -27,15 +28,6 @@ from .term import (
 from .translate import builtin_table, map_context, parse_table, translate_term
 
 __all__ = ["main"]
-
-
-def _load_signature(spec: str) -> Signature:
-    try:
-        return builtin(spec)
-    except UnknownBuiltin:
-        pass
-    with open(spec, "r", encoding="utf-8") as fh:
-        return parse_signature(fh.read())
 
 
 def _resolve_sort(sig: Signature, text: str | None):
@@ -113,25 +105,12 @@ def _cmd_subst(args) -> int:
     target = parse_context(sig.types, args.target) if args.target else ctx
     t = parse_term(args.term)
     sort_of(sig, ctx, t)  # validate before substituting
-    images = _parse_assign(args.assign)
+    ts = TokenStream(tokenize(args.assign))
+    images = ts.form("assign", lambda: _read_term(ts))
+    ts.expect_eof()
     assignment = make_assignment(sig, ctx, target, images)
     print(print_term(subst(sig, t, assignment)))
     return 0
-
-
-def _parse_assign(text: str):
-    from .sigdef import TokenStream, tokenize
-    from .term import _parse_term_expr
-
-    ts = TokenStream(tokenize(text))
-    ts.expect("(")
-    ts.expect("assign")
-    images = []
-    while not ts.at(")"):
-        images.append(_parse_term_expr(ts))
-    ts.expect(")")
-    ts.expect_eof()
-    return tuple(images)
 
 
 def _cmd_translate(args) -> int:
@@ -248,6 +227,10 @@ def main(argv=None) -> int:
         return 1
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as e:
+        message = "input too large or nested too deeply"
+        print(f"resource error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2
 
 

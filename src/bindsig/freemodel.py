@@ -24,7 +24,7 @@ from .sigdef import (
     parse_signature_source,
     sum_signatures,
 )
-from .term import Context, Op, Term, Var
+from .term import Context, Op, Term, Var, _walk, ctx_extend
 
 __all__ = [
     "OpLabel",
@@ -130,17 +130,10 @@ def free_extend(
         cached = (extend_signature(sig, family), {lab.name for lab in family.labels})
         sig._cache[key] = cached
     ext, label_names = cached
-    ctx = tuple(ctx)
 
-    def go(c: Context, t: Term) -> Any:
-        if type(t) is Var:
-            return model.var_op(c, t.index)
+    def node(c: Context, t: Op, arity, vals) -> Any:
         if t.name in label_names:
-            lab = family.label(t.name)
-            vals = tuple(go(c, arg) for arg in t.args)
-            return model.msubst(lab.inputs, c, interp[t.name], vals)
-        arity = ext.arity(t.name, t.params)
-        vals = tuple(go(inp.bound + c, arg) for inp, arg in zip(arity.inputs, t.args))
-        return model.op_interp(c, t.name, t.params, vals)
+            return model.msubst(family.label(t.name).inputs, c, interp[t.name], tuple(vals))
+        return model.op_interp(c, t.name, t.params, tuple(vals))
 
-    return go(ctx, t)
+    return _walk(ext, t, tuple(ctx), model.var_op, node, ctx_extend)

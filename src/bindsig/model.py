@@ -25,7 +25,9 @@ from .term import (
     Op,
     Term,
     Var,
+    _walk,
     chain_count,
+    ctx_extend,
     enumerate_terms,
     mk_op,
     print_context,
@@ -75,14 +77,12 @@ class ModelSpec:
 
 def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
     """The unique structure map: variables to var_op, nodes to op_interp."""
-    ctx = tuple(ctx)
-    if type(t) is Var:
-        return model.var_op(ctx, t.index)
-    arity = sig.arity(t.name, t.params)
-    vals = tuple(
-        fold(model, sig, inp.bound + ctx, arg) for inp, arg in zip(arity.inputs, t.args)
-    )
-    return model.op_interp(ctx, t.name, t.params, vals)
+    op_interp = model.op_interp
+
+    def node(ctx, t, arity, vals):
+        return op_interp(ctx, t.name, t.params, tuple(vals))
+
+    return _walk(sig, t, tuple(ctx), model.var_op, node, ctx_extend)
 
 
 def term_model(sig: Signature) -> ModelSpec:

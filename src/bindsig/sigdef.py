@@ -534,6 +534,25 @@ class TokenStream:
     def at(self, text: str) -> bool:
         return self.peek().text == text
 
+    def delimited(self, item, close: str) -> list:
+        """``item()`` once, then again after each comma, then ``close``."""
+        items = [item()]
+        while self.at(","):
+            self.next()
+            items.append(item())
+        self.expect(close)
+        return items
+
+    def form(self, head: str, item) -> list:
+        """``(head item ...)``: the items read by ``item()`` up to ``)``."""
+        self.expect("(")
+        self.expect(head)
+        items = []
+        while not self.at(")"):
+            items.append(item())
+        self.expect(")")
+        return items
+
     def expect_eof(self) -> None:
         tok = self.peek()
         if tok.kind != "eof":
@@ -564,25 +583,39 @@ def parse_sort(text: str) -> Sort:
     ts = TokenStream(tokenize(text))
     sort = _parse_sort_expr(ts)
     ts.expect_eof()
-    if isinstance(sort, SortRef):  # unreachable without params, kept for clarity
-        raise ParseError("parameter reference outside a schema")
     return sort
 
 
 def print_sort(sort: Sort) -> str:
-    if isinstance(sort, BaseSort):
-        return sort.name
-    if isinstance(sort, ArrowSort):
-        return f"arrow({print_sort(sort.domain)},{print_sort(sort.codomain)})"
-    raise MalformedSort(f"not a printable sort: {sort!r}")
+    return _print_template(sort, ())
 
 
 def _print_template(tpl: SortTemplate, params: tuple[Param, ...]) -> str:
-    if isinstance(tpl, SortRef):
-        return params[tpl.index].name
+    """A sort, or a schema's sort template with its parameter names."""
+    if isinstance(tpl, BaseSort):
+        return tpl.name
     if isinstance(tpl, ArrowSort):
         return f"arrow({_print_template(tpl.domain, params)},{_print_template(tpl.codomain, params)})"
-    return tpl.name
+    if isinstance(tpl, SortRef) and tpl.index < len(params):
+        return params[tpl.index].name
+    raise MalformedSort(f"not a printable sort: {tpl!r}")
+
+
+def _parse_param_decl(ts: TokenStream) -> Param:
+    name = ts.expect_kind("ident").text
+    ts.expect(":")
+    kind_tok = ts.next()
+    if kind_tok.text not in ("sort", "nat"):
+        raise ParseError("parameter kind must be 'sort' or 'nat'", kind_tok.line, kind_tok.col)
+    return Param(name, kind_tok.text)
+
+
+def _parse_input(ts: TokenStream, param_index: dict) -> Input:
+    bound: list[SortTemplate] = []
+    if ts.at("["):
+        ts.next()
+        bound = ts.delimited(lambda: _parse_sort_expr(ts, param_index), "]")
+    return Input(tuple(bound), _parse_sort_expr(ts, param_index))
 
 
 def _parse_op_decl(ts: TokenStream) -> ConstructorSchema:
@@ -590,41 +623,15 @@ def _parse_op_decl(ts: TokenStream) -> ConstructorSchema:
     params: list[Param] = []
     if ts.at("<"):
         ts.next()
-        while True:
-            pname = ts.expect_kind("ident").text
-            ts.expect(":")
-            kind_tok = ts.next()
-            if kind_tok.text not in ("sort", "nat"):
-                raise ParseError("parameter kind must be 'sort' or 'nat'", kind_tok.line, kind_tok.col)
-            params.append(Param(pname, kind_tok.text))
-            if ts.at(","):
-                ts.next()
-                continue
-            ts.expect(">")
-            break
+        params = ts.delimited(lambda: _parse_param_decl(ts), ">")
     param_index = {p.name: i for i, p in enumerate(params)}
     ts.expect(":")
     ts.expect("(")
-    inputs: list[Input] = []
-    if not ts.at(")"):
-        while True:
-            bound: list[SortTemplate] = []
-            if ts.at("["):
-                ts.next()
-                while True:
-                    bound.append(_parse_sort_expr(ts, param_index))
-                    if ts.at(","):
-                        ts.next()
-                        continue
-                    ts.expect("]")
-                    break
-            sort = _parse_sort_expr(ts, param_index)
-            inputs.append(Input(tuple(bound), sort))
-            if ts.at(","):
-                ts.next()
-                continue
-            break
-    ts.expect(")")
+    if ts.at(")"):
+        ts.next()
+        inputs: list[Input] = []
+    else:
+        inputs = ts.delimited(lambda: _parse_input(ts, param_index), ")")
     ts.expect("->")
     output = _parse_sort_expr(ts, param_index)
     return ConstructorSchema(name, tuple(params), tuple(inputs), output)
@@ -703,6 +710,16 @@ def parse_signature_source(text: str) -> tuple[Signature, tuple[ConstructorSchem
 def parse_signature(text: str) -> Signature:
     """Parse the signature file grammar (see the README for the grammar)."""
     return parse_signature_source(text)[0]
+
+
+def _load_signature(spec: str) -> Signature:
+    """A builtin signature by name, else the signature file at that path."""
+    try:
+        return builtin(spec)
+    except UnknownBuiltin:
+        pass
+    with open(spec, "r", encoding="utf-8") as fh:
+        return parse_signature(fh.read())
 
 
 def print_signature(sig: Signature, name: str = "sig") -> str:

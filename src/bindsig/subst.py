@@ -1,14 +1,17 @@
 """Renaming, binder lifting, and capture-avoiding simultaneous substitution.
 
-Substitution is direct structural recursion with an assignment that gets
-lifted at every binder: under a binder for ``bound``, position i < |bound|
-maps to Var(i) and position i >= |bound| maps to the image of i - |bound|
-weakened by |bound|.  Together with variable lookup this is exactly the
-Kleisli presentation of the initial model's monoid multiplication, and the
-law suites in :mod:`bindsig.model` check it as such.
+Substitution is structural recursion with an assignment that gets lifted
+at every binder: under a binder for ``bound``, position i < |bound| maps to
+Var(i) and position i >= |bound| maps to the image of i - |bound| weakened
+by |bound|.  Together with variable lookup this is exactly the Kleisli
+presentation of the initial model's monoid multiplication, and the law
+suites in :mod:`bindsig.model` check it as such.
 
-Lifted renamings and assignments are memoized on the signature: the law
-suites re-lift the same few hundred assignments millions of times.
+``rename`` and ``subst`` are one traversal each (:func:`bindsig.term._walk`)
+whose environment is the number of binders crossed; a variable applies the
+lift by that number when it is reached, so deep binder nesting costs no
+lifted copies of the assignment.  :func:`lift_assignment` and
+:func:`lift_renaming` build the same lifts as values.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 from .errors import ContextMismatch, ScopeError, SortMismatch
 from .sigdef import Signature, Sort, print_sort
-from .term import Context, Op, Term, Var, sort_of
+from .term import Context, Op, Term, Var, _walk, sort_of
 
 __all__ = [
     "Renaming",
@@ -110,40 +113,34 @@ def lift_renaming(ren: Renaming, bound: tuple[Sort, ...]) -> Renaming:
     return Renaming(bound + ren.source, bound + ren.target, mapping)
 
 
+def _rebuild(env, t: Op, arity, args) -> Term:
+    return Op(t.name, t.params, tuple(args))
+
+
+def _under(k: int, bound) -> int:
+    return k + len(bound)
+
+
+def _rename(sig: Signature, t: Term, mapping) -> Term:
+    # The environment is the number k of binders crossed: the lift by k
+    # fixes i < k and sends i >= k to mapping[i - k] + k.
+    def var(k, i):
+        return Var(i if i < k else mapping[i - k] + k)
+
+    return _walk(sig, t, 0, var, _rebuild, _under)
+
+
 def rename(sig: Signature, t: Term, ren: Renaming) -> Term:
     """Functorial action: reindex free variables, lifting under binders."""
-    cache = sig._cache
-    mapping = ren.mapping
-
-    def go(t: Term, ren: Renaming, mapping) -> Term:
-        if type(t) is Var:
-            return Var(mapping[t.index])
-        arity = sig.arity(t.name, t.params)
-        args = []
-        for inp, arg in zip(arity.inputs, t.args):
-            if inp.bound:
-                key = ("rlift", ren, inp.bound)
-                lifted = cache.get(key)
-                if lifted is None:
-                    lifted = lift_renaming(ren, inp.bound)
-                    cache[key] = lifted
-                args.append(go(arg, lifted, lifted.mapping))
-            else:
-                args.append(go(arg, ren, mapping))
-        return Op(t.name, t.params, tuple(args))
-
-    return go(t, ren, mapping)
+    return _rename(sig, t, ren.mapping)
 
 
 def weaken(sig: Signature, ctx: Context, t: Term, bound: Sequence[Sort]) -> Term:
     """Shift ``t`` from ctx into bound ++ ctx (rename by i -> i + |bound|)."""
-    bound = tuple(bound)
-    if not bound:
+    n = len(tuple(bound))
+    if not n:
         return t
-    ctx = tuple(ctx)
-    n = len(bound)
-    ren = Renaming(ctx, bound + ctx, tuple(i + n for i in range(len(ctx))))
-    return rename(sig, t, ren)
+    return _rename(sig, t, range(n, n + len(tuple(ctx))))
 
 
 def id_assignment(ctx: Context) -> Assignment:
@@ -160,38 +157,32 @@ def lift_assignment(sig: Signature, a: Assignment, bound: Sequence[Sort]) -> Ass
     bound = tuple(bound)
     if not bound:
         return a
-    key = ("alift", a, bound)
-    hit = sig._cache.get(key)
-    if hit is not None:
-        return hit
     fresh = tuple(Var(i) for i in range(len(bound)))
     shifted = tuple(weaken(sig, a.target, img, bound) for img in a.images)
-    lifted = Assignment(bound + a.source, bound + a.target, fresh + shifted)
-    sig._cache[key] = lifted
-    return lifted
+    return Assignment(bound + a.source, bound + a.target, fresh + shifted)
 
 
 def subst(sig: Signature, t: Term, a: Assignment) -> Term:
     """Capture-avoiding simultaneous substitution of ``a`` into ``t``."""
-    cache = sig._cache
+    images = a.images
+    m = len(a.target)
+    weakened: dict = {}  # (position, k) -> its image weakened by k
 
-    def go(t: Term, a: Assignment) -> Term:
-        if type(t) is Var:
-            return a.images[t.index]
-        arity = sig.arity(t.name, t.params)
-        args = []
-        for inp, arg in zip(arity.inputs, t.args):
-            if inp.bound:
-                key = ("alift", a, inp.bound)
-                lifted = cache.get(key)
-                if lifted is None:
-                    lifted = lift_assignment(sig, a, inp.bound)
-                args.append(go(arg, lifted))
-            else:
-                args.append(go(arg, a))
-        return Op(t.name, t.params, tuple(args))
+    # The environment is the number k of binders crossed.  The lift of
+    # ``a`` by k fixes i < k and sends i >= k to the image of i - k
+    # weakened by k, made once per call and depth.
+    def var(k, i):
+        if i < k:
+            return Var(i)
+        if not k:
+            return images[i]
+        key = (i - k, k)
+        hit = weakened.get(key)
+        if hit is None:
+            hit = weakened[key] = _rename(sig, images[i - k], range(k, k + m))
+        return hit
 
-    return go(t, a)
+    return _walk(sig, t, 0, var, _rebuild, _under)
 
 
 def subst1(sig: Signature, ctx, sort: Sort, t: Term, u: Term) -> Term:

@@ -19,6 +19,7 @@ from typing import Sequence, Union
 
 from .errors import (
     ArityMismatch,
+    BindsigError,
     IllFormed,
     ParseError,
     ScopeError,
@@ -26,12 +27,12 @@ from .errors import (
     Unbounded,
 )
 from .sigdef import (
-    ArrowSort,
-    BaseSort,
+    Arity,
     Signature,
     Sort,
     TokenStream,
     TypeSystem,
+    _parse_sort_expr,
     check_sort,
     print_sort,
     sorts_up_to_depth,
@@ -105,13 +106,34 @@ class Op(Term):
     def __eq__(self, other):
         if self is other:
             return True
-        return (
-            type(other) is Op
-            and other._hash == self._hash
-            and other.name == self.name
-            and other.params == self.params
-            and other.args == self.args
-        )
+        if type(other) is not Op or other._hash != self._hash:
+            return False
+        # Structural comparison on two explicit stacks: terms may be deeper
+        # than the Python stack.
+        xs, ys = [self], [other]
+        while xs:
+            x, y = xs.pop(), ys.pop()
+            if x is y:
+                continue
+            kind = type(x)
+            if kind is not type(y):
+                return False
+            if kind is Op:
+                if (
+                    x._hash != y._hash
+                    or x.name != y.name
+                    or x.params != y.params
+                    or len(x.args) != len(y.args)
+                ):
+                    return False
+                xs += x.args
+                ys += y.args
+            elif kind is Var:
+                if x.index != y.index:
+                    return False
+            elif x != y:  # template placeholders
+                return False
+        return True
 
     def __hash__(self):
         return self._hash
@@ -149,9 +171,7 @@ def ctx_extend(ctx: Sequence[Sort], bound: Sequence[Sort], types: TypeSystem | N
 
 def mk_var(ctx: Sequence[Sort], index: int) -> tuple[Term, Sort]:
     ctx = tuple(ctx)
-    if not (0 <= index < len(ctx)):
-        raise ScopeError(f"variable {index} out of scope in a context of size {len(ctx)}")
-    return Var(index), ctx[index]
+    return Var(index), _scope_lookup((ctx, None, len(ctx)), index)
 
 
 def mk_op(
@@ -162,65 +182,115 @@ def mk_op(
     args: Sequence[Term] = (),
 ) -> tuple[Term, Sort]:
     """Checked construction of an operator node; returns it with its sort."""
-    ctx = tuple(ctx)
-    params = tuple(params)
-    args = tuple(args)
-    arity = sig.arity(name, params)
-    if len(args) != len(arity.inputs):
-        raise ArityMismatch(f"{name} expects {len(arity.inputs)} argument(s), got {len(args)}")
-    for j, (inp, arg) in enumerate(zip(arity.inputs, args)):
-        found = _infer(sig, inp.bound + ctx, arg)
-        if found != inp.sort:
+    t = Op(name, tuple(params), tuple(args))
+    return t, _infer(sig, tuple(ctx), t)
+
+
+def _walk(sig: Signature, t: Term, env, var, node, under):
+    """Post-order traversal of ``t``: the one recursion principle.
+
+    ``var(env, i)`` gives the value of variable i; ``node(env, t, arity,
+    vals)`` combines the operator ``t`` with its arguments' values, in
+    argument order; ``under(env, bound)`` gives the environment of an
+    argument that binds ``bound``.  The walk keeps one frame per operator
+    node on an explicit stack, so terms may be deeper than the Python stack;
+    variable arguments are evaluated in place.
+    """
+    if type(t) is Var:
+        return var(env, t.index)
+    arity_of = sig.arity
+    frames = []  # (node, env, arity, values so far, next argument) per open node
+    while True:
+        if type(t) is not Op:
+            raise IllFormed(f"not a term: {t!r}")
+        arity = arity_of(t.name, t.params)
+        inputs, args = arity.inputs, t.args
+        n = len(args)
+        if n != len(inputs):
+            raise ArityMismatch(f"{t.name} expects {len(inputs)} argument(s), got {n}")
+        vals = []
+        j = 0
+        while True:
+            while j < n:
+                arg, bound = args[j], inputs[j].bound
+                j += 1
+                arg_env = under(env, bound) if bound else env
+                if type(arg) is Var:
+                    vals.append(var(arg_env, arg.index))
+                    continue
+                frames.append((t, env, arity, vals, j))
+                t, env = arg, arg_env
+                break
+            else:
+                value = node(env, t, arity, vals)
+                if not frames:
+                    return value
+                t, env, arity, vals, j = frames.pop()
+                vals.append(value)
+                inputs, args = arity.inputs, t.args
+                n = len(args)
+                continue
+            break  # enter the operator argument t
+
+
+def _check_args(scope, t: Op, arity, found) -> Sort:
+    for j, inp in enumerate(arity.inputs):
+        # Most sorts are the signature's own objects: try identity first.
+        if found[j] is not inp.sort and found[j] != inp.sort:
             raise SortMismatch(
-                f"argument {j} of {name}: expected {print_sort(inp.sort)}, found {print_sort(found)}"
+                f"argument {j} of {t.name}: expected {print_sort(inp.sort)}, "
+                f"found {print_sort(found[j])}"
             )
-    return Op(name, params, args), arity.output
+    return arity.output
+
+
+# Type checking walks with a scope: the context's sorts, then one link per
+# binder group, so entering a binder costs its own size, not the context's.
+def _scope_lookup(scope, i: int) -> Sort:
+    sorts, outer, size = scope
+    if not (0 <= i < size):
+        raise ScopeError(f"variable {i} out of scope in a context of size {size}")
+    while i >= len(sorts):
+        i -= len(sorts)
+        sorts, outer, size = outer
+    return sorts[i]
+
+
+def _scope_bind(scope, bound):
+    return bound, scope, scope[2] + len(bound)
 
 
 def _infer(sig: Signature, ctx: Context, t: Term) -> Sort:
-    if type(t) is Var:
-        if not (0 <= t.index < len(ctx)):
-            raise ScopeError(f"variable {t.index} out of scope in a context of size {len(ctx)}")
-        return ctx[t.index]
-    if type(t) is Op:
-        arity = sig.arity(t.name, t.params)
-        if len(t.args) != len(arity.inputs):
-            raise ArityMismatch(
-                f"{t.name} expects {len(arity.inputs)} argument(s), got {len(t.args)}"
-            )
-        for j, (inp, arg) in enumerate(zip(arity.inputs, t.args)):
-            found = _infer(sig, inp.bound + ctx, arg)
-            if found != inp.sort:
-                raise SortMismatch(
-                    f"argument {j} of {t.name}: expected {print_sort(inp.sort)}, "
-                    f"found {print_sort(found)}"
-                )
-        return arity.output
-    raise IllFormed(f"not a term: {t!r}")
+    return _walk(sig, t, (ctx, None, len(ctx)), _scope_lookup, _check_args, _scope_bind)
 
 
 def sort_of(sig: Signature, ctx: Sequence[Sort], t: Term) -> Sort:
     """The unique sort at which ``t`` checks; IllFormed otherwise."""
     try:
         return _infer(sig, tuple(ctx), t)
-    except (ScopeError, SortMismatch, ArityMismatch, IllFormed) as e:
-        raise IllFormed(str(e)) from e
-    except Exception as e:  # unknown op, bad params
+    except BindsigError as e:
         raise IllFormed(str(e)) from e
 
 
 def term_depth(t: Term) -> int:
     """Constructor depth: variables and constants count 1."""
-    if type(t) is Var:
-        return 1
-    return 1 + max((term_depth(a) for a in t.args), default=0)
+    deepest = 0
+    stack = [(t, 1)]
+    while stack:
+        t, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if type(t) is not Var:
+            stack.extend((a, depth + 1) for a in t.args)
+    return deepest
 
 
 # ---------------------------------------------------------------------------
 # Parameter instantiations reachable under a sort-depth bound
 
 
-def instantiations(sig: Signature, schema_name: str, max_sort_depth: int | None):
+def instantiations(
+    sig: Signature, schema_name: str, max_sort_depth: int | None
+) -> tuple[tuple[tuple, Arity], ...]:
     """All parameter tuples of a schema, paired with their arities.
 
     Sort parameters range over all sorts of depth <= max_sort_depth in
@@ -234,7 +304,7 @@ def instantiations(sig: Signature, schema_name: str, max_sort_depth: int | None)
     if hit is not None:
         return hit
     if not schema.params:
-        out = [((), sig.arity(schema_name, ()))]
+        out = (((), sig.arity(schema_name, ())),)
         sig._cache[key] = out
         return out
     pools = []
@@ -251,7 +321,7 @@ def instantiations(sig: Signature, schema_name: str, max_sort_depth: int | None)
                     f"schema {schema_name} has a nat parameter; pass a sort-depth bound"
                 )
             pools.append(list(range(max_sort_depth + 1)))
-    out = [(args, sig.arity(schema_name, args)) for args in product(*pools)]
+    out = tuple((args, sig.arity(schema_name, args)) for args in product(*pools))
     sig._cache[key] = out
     return out
 
@@ -274,7 +344,7 @@ def enumerate_terms(
     sort: Sort,
     depth: int,
     max_sort_depth: int | None = None,
-) -> list[Term]:
+) -> tuple[Term, ...]:
     """The chain stage A_depth at the (ctx, sort) cell, in canonical order.
 
     Order: variables ascending, then schemas in declaration order (their
@@ -284,9 +354,9 @@ def enumerate_terms(
     ctx = tuple(ctx)
     cells = _chain_cells(sig, max_sort_depth)
 
-    def cell(c: Context, s: Sort, k: int) -> list[Term]:
+    def cell(c: Context, s: Sort, k: int) -> tuple[Term, ...]:
         if k <= 0:
-            return []
+            return ()
         key = (c, s, k)
         hit = cells.get(key)
         if hit is not None:
@@ -301,7 +371,7 @@ def enumerate_terms(
                     continue
                 for args in product(*pools):
                     out.append(Op(schema.name, params, args))
-        cells[key] = out
+        cells[key] = out = tuple(out)
         return out
 
     return cell(ctx, sort, depth)
@@ -405,58 +475,56 @@ def lambek_compose(case: Union[VarCase, OpCase]) -> Term:
 # Concrete syntax: s-expressions
 
 
-def _parse_param(ts: TokenStream):
+def _read_param(ts: TokenStream, refs: dict | None):
+    """A natural, a name bound in ``refs``, or a sort."""
     tok = ts.peek()
     if tok.kind == "nat":
         ts.next()
         return int(tok.text)
-    return _parse_sort_token(ts)
+    if refs and tok.text in refs:
+        ts.next()
+        return refs[tok.text]
+    return _parse_sort_expr(ts)
 
 
-def _parse_sort_token(ts: TokenStream) -> Sort:
-    tok = ts.next()
-    if tok.text == "arrow":
-        ts.expect("(")
-        dom = _parse_sort_token(ts)
-        ts.expect(",")
-        cod = _parse_sort_token(ts)
-        ts.expect(")")
-        return ArrowSort(dom, cod)
-    if tok.kind == "ident":
-        return BaseSort(tok.text)
-    raise ParseError(f"expected a sort or a natural, found {tok.text!r}", tok.line, tok.col)
+def _read_term(ts: TokenStream, refs: dict | None = None, placeholder=None):
+    """Read one term without recursion on the Python stack.
 
-
-def _parse_term_expr(ts: TokenStream) -> Term:
-    ts.expect("(")
-    head = ts.next()
-    if head.text == "var":
-        idx = ts.expect_kind("nat")
-        ts.expect(")")
-        return Var(int(idx.text))
-    if head.text == "op":
-        name = ts.expect_kind("ident").text
-        params: list = []
-        if ts.at("<"):
-            ts.next()
-            while True:
-                params.append(_parse_param(ts))
-                if ts.at(","):
+    Translation templates pass ``refs`` (clause parameter name -> value to
+    put in its place) and ``placeholder`` (builds the leaf ``(ph j)``).
+    """
+    frames = []  # (name, params, args) per open operator
+    while True:
+        if frames and not ts.at("("):
+            ts.expect(")")
+            name, params, args = frames.pop()
+            value = Op(name, params, tuple(args))
+        else:
+            ts.expect("(")
+            head = ts.next()
+            if head.text == "op":
+                name = ts.expect_kind("ident").text
+                params = ()
+                if ts.at("<"):
                     ts.next()
-                    continue
-                ts.expect(">")
-                break
-        args: list[Term] = []
-        while ts.at("("):
-            args.append(_parse_term_expr(ts))
-        ts.expect(")")
-        return Op(name, tuple(params), tuple(args))
-    raise ParseError(f"expected 'var' or 'op', found {head.text!r}", head.line, head.col)
+                    params = tuple(ts.delimited(lambda: _read_param(ts, refs), ">"))
+                frames.append((name, params, []))
+                continue
+            if head.text == "var" or (head.text == "ph" and placeholder is not None):
+                index = int(ts.expect_kind("nat").text)
+                ts.expect(")")
+                value = Var(index) if head.text == "var" else placeholder(index)
+            else:
+                expected = "'op', 'var' or 'ph'" if placeholder is not None else "'var' or 'op'"
+                raise ParseError(f"expected {expected}, found {head.text!r}", head.line, head.col)
+        if not frames:
+            return value
+        frames[-1][2].append(value)
 
 
 def parse_term(text: str) -> Term:
     ts = TokenStream(tokenize(text))
-    t = _parse_term_expr(ts)
+    t = _read_term(ts)
     ts.expect_eof()
     return t
 
@@ -468,14 +536,23 @@ def _print_param(p) -> str:
 
 
 def print_term(t: Term) -> str:
-    if type(t) is Var:
-        return f"(var {t.index})"
-    head = t.name
-    if t.params:
-        head += "<" + ",".join(_print_param(p) for p in t.params) + ">"
-    if not t.args:
-        return f"(op {head})"
-    return f"(op {head} " + " ".join(print_term(a) for a in t.args) + ")"
+    out: list[str] = []
+    stack: list = [t]  # terms still to print, and closing parentheses
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+        elif type(t) is Var:
+            out.append(f"(var {t.index})")
+        else:
+            out.append("(op " + t.name)
+            if t.params:
+                out.append("<" + ",".join(_print_param(p) for p in t.params) + ">")
+            stack.append(")")
+            for a in reversed(t.args):
+                stack.append(a)
+                stack.append(" ")
+    return "".join(out)
 
 
 def parse_context(types: TypeSystem, text: str) -> Context:
@@ -487,12 +564,7 @@ def parse_context(types: TypeSystem, text: str) -> Context:
             return ()
         return (types.single_sort(),) * n
     ts = TokenStream(tokenize(text))
-    ts.expect("(")
-    ts.expect("ctx")
-    entries: list[Sort] = []
-    while not ts.at(")"):
-        entries.append(_parse_sort_token(ts))
-    ts.expect(")")
+    entries = ts.form("ctx", lambda: _parse_sort_expr(ts))
     ts.expect_eof()
     return check_context(types, entries)
 

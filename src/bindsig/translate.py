@@ -29,11 +29,13 @@ from .sigdef import (
     Sort,
     TokenStream,
     TypeSystem,
+    _load_signature,
+    _parse_sort_expr,
     builtin,
     print_sort,
     tokenize,
 )
-from .term import Context, Op, Term, Var, _parse_sort_token
+from .term import Context, Op, Term, Var, _read_term, _walk
 
 __all__ = [
     "TypeMorphism",
@@ -280,23 +282,16 @@ def _graft(template: Template, args: Sequence[Term], source_params: tuple, table
 def translate_term(table: TranslationTable, ctx: Sequence[Sort], t: Term) -> Term:
     """Apply the table; the result is well-formed over the image context
     at the image sort.  Variables keep their indices."""
-    src = table.source
-    ctx = tuple(ctx)
 
-    def go(c: Context, t: Term) -> Term:
-        if type(t) is Var:
-            return Var(t.index)
-        arity = src.arity(t.name, t.params)
-        translated = tuple(
-            go(inp.bound + c, arg) for inp, arg in zip(arity.inputs, t.args)
-        )
+    def node(env, t: Op, arity, translated) -> Term:
         try:
             template = table.clauses[t.name]
         except KeyError:
             raise MissingClause(f"no clause for source operator {t.name!r}") from None
         return _graft(template, translated, t.params, table)
 
-    return go(ctx, t)
+    # Translation needs no context: variables keep their indices.
+    return _walk(table.source, t, None, lambda env, i: Var(i), node, lambda env, bound: None)
 
 
 # ---------------------------------------------------------------------------
@@ -342,55 +337,6 @@ def builtin_table(name: str) -> TranslationTable:
 # Table files
 
 
-def _parse_template(ts: TokenStream, param_index: dict) -> Template:
-    ts.expect("(")
-    head = ts.next()
-    if head.text == "ph":
-        idx = ts.expect_kind("nat")
-        ts.expect(")")
-        return Placeholder(int(idx.text))
-    if head.text == "var":
-        idx = ts.expect_kind("nat")
-        ts.expect(")")
-        return Var(int(idx.text))
-    if head.text == "op":
-        name = ts.expect_kind("ident").text
-        params: list = []
-        if ts.at("<"):
-            ts.next()
-            while True:
-                tok = ts.peek()
-                if tok.kind == "nat":
-                    ts.next()
-                    params.append(int(tok.text))
-                elif tok.kind == "ident" and tok.text in param_index:
-                    ts.next()
-                    params.append(ParamRef(param_index[tok.text]))
-                else:
-                    params.append(_parse_sort_token(ts))
-                if ts.at(","):
-                    ts.next()
-                    continue
-                ts.expect(">")
-                break
-        args: list[Template] = []
-        while ts.at("("):
-            args.append(_parse_template(ts, param_index))
-        ts.expect(")")
-        return Op(name, tuple(params), tuple(args))
-    raise ParseError(f"expected 'op', 'var' or 'ph', found {head.text!r}", head.line, head.col)
-
-
-def _load_signature(name: str) -> Signature:
-    try:
-        return builtin(name)
-    except UnknownBuiltin:
-        from .sigdef import parse_signature
-
-        with open(name, "r", encoding="utf-8") as fh:
-            return parse_signature(fh.read())
-
-
 def parse_table(text: str) -> TranslationTable:
     """Table file grammar::
 
@@ -420,7 +366,7 @@ def parse_table(text: str) -> TranslationTable:
             ts.next()
             base = ts.expect_kind("ident").text
             ts.expect("=>")
-            base_map[base] = _parse_sort_token(ts)
+            base_map[base] = _parse_sort_expr(ts)
             mode = mode or "homomorphic"
         else:
             break
@@ -439,25 +385,18 @@ def parse_table(text: str) -> TranslationTable:
         ts.expect("clause")
         op_name = ts.expect_kind("ident").text
         schema = source.schema(op_name)
-        param_index: dict[str, int] = {}
+        refs: dict[str, ParamRef] = {}
         if ts.at("<"):
             ts.next()
-            names = []
-            while True:
-                names.append(ts.expect_kind("ident").text)
-                if ts.at(","):
-                    ts.next()
-                    continue
-                ts.expect(">")
-                break
+            names = ts.delimited(lambda: ts.expect_kind("ident").text, ">")
             if len(names) != len(schema.params):
                 raise ParseError(
                     f"clause for {op_name} binds {len(names)} parameter(s), "
                     f"schema has {len(schema.params)}"
                 )
-            param_index = {n: i for i, n in enumerate(names)}
+            refs = {n: ParamRef(i) for i, n in enumerate(names)}
         ts.expect("=")
         if op_name in clauses:
             raise ParseError(f"duplicate clause for {op_name}")
-        clauses[op_name] = _parse_template(ts, param_index)
+        clauses[op_name] = _read_term(ts, refs, Placeholder)
     return make_table(source, target, morphism, clauses)

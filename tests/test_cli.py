@@ -230,3 +230,15 @@ def test_term_flag_and_positional_agree(capsys):
     code1, out1, _ = run(capsys, "fv", "--ctx", "2", "--term", "(var 1)")
     code2, out2, _ = run(capsys, "fv", "--ctx", "2", "(var 1)")
     assert (code1, out1) == (code2, out2)
+
+
+def test_deeply_nested_sort_is_a_one_line_error(capsys):
+    sort = "iota"
+    for _ in range(3000):
+        sort = f"arrow(iota,{sort})"
+    code, out, err = run(
+        capsys, "enum", "--sig", "stlc", "--max-sort-depth", "0", "--depth", "1", "--sort", sort
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "RecursionError" in err

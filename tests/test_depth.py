@@ -1,0 +1,139 @@
+"""Terms far deeper than the Python stack.
+
+Every layer walks terms on an explicit stack, so a 100 000-deep chain goes
+through parse, print, checking, substitution, renaming, folds, translation,
+equality and hashing.  Expected values are built by plain loops, not by the
+library's traversal.  Folds into models run on binder-free chains: a model
+receives every node's context as a tuple, so a fold over n nested binders
+builds contexts of total size n^2 / 2.
+"""
+
+import pytest
+
+from bindsig import (
+    Assignment,
+    BaseSort,
+    Op,
+    OperatorFamily,
+    Renaming,
+    Var,
+    builtin,
+    builtin_table,
+    fold,
+    free_extend,
+    fv_model,
+    parse_term,
+    print_term,
+    rename,
+    sort_of,
+    subst,
+    translate_term,
+    weaken,
+)
+from bindsig.cli import main
+
+N = 100_000
+STAR = BaseSort("*")
+CTX = (STAR,)
+TARGET = (STAR, STAR)
+
+
+def spine(leaf):
+    """ulc: ``abs (app <spine> (var 0))``, N deep, N/2 binders above ``leaf``."""
+    t = leaf
+    for _ in range(N // 2):
+        t = Op("abs", (), (Op("app", (), (t, Var(0))),))
+    return t
+
+
+def spine_text(leaf):
+    return "(op abs (op app " * (N // 2) + leaf + " (var 0)))" * (N // 2)
+
+
+def unary(name, leaf):
+    t = leaf
+    for _ in range(N):
+        t = Op(name, (), (t,))
+    return t
+
+
+def succs(leaf):
+    return unary("succ", leaf)
+
+
+def succs_text(leaf):
+    return "(op succ " * N + leaf + ")" * N
+
+
+@pytest.mark.parametrize(
+    "sig_name, chain, text, binders, image, weakened",
+    [
+        (
+            "ulc",
+            spine,
+            spine_text,
+            N // 2,
+            Op("abs", (), (Op("app", (), (Var(0), Var(2))),)),
+            lambda k: Op("abs", (), (Op("app", (), (Var(0), Var(k + 2))),)),
+        ),
+        (
+            "nat",
+            succs,
+            succs_text,
+            0,
+            Op("succ", (), (Var(1),)),
+            lambda k: Op("succ", (), (Var(k + 1),)),
+        ),
+    ],
+)
+def test_deep_chain(sig_name, chain, text, binders, image, weakened):
+    sig = builtin(sig_name)
+    t = chain(Var(binders))  # the leaf is the free variable 0 of CTX
+    twin = chain(Var(binders))
+    assert t is not twin and t == twin and hash(t) == hash(twin)
+    renamed = chain(Var(binders + 1))
+    assert t != renamed
+
+    shown = print_term(t)
+    assert shown == text(f"(var {binders})")
+    assert parse_term(shown) == t
+
+    assert sort_of(sig, CTX, t) == STAR
+    assert subst(sig, t, Assignment(CTX, TARGET, (image,))) == chain(weakened(binders))
+    assert rename(sig, t, Renaming(CTX, TARGET, (1,))) == renamed
+    assert weaken(sig, CTX, t, TARGET) == chain(Var(binders + 2))
+
+
+def test_deep_folds():
+    nat = builtin("nat")
+    t = succs(Var(0))
+    assert fold(fv_model(nat), nat, CTX, t) == {0}
+
+    family = OperatorFamily.untyped(nat, {"wrap": 1})
+    labelled = Var(0)
+    for i in range(N):
+        labelled = Op("wrap" if i % 2 else "succ", (), (labelled,))
+    assert free_extend(fv_model(nat), nat, family, {"wrap": frozenset({0})}, CTX, labelled) == {0}
+
+
+def test_deep_translation():
+    fol = builtin("fol")
+    t = unary("neg", Op("top"))
+    expected = Op("top")
+    for _ in range(N):
+        expected = Op("lolli", (), (Op("bang", (), (expected,)), Op("zero")))
+
+    assert parse_term(print_term(t)) == t
+    assert sort_of(fol, (), t) == STAR
+    assert subst(fol, t, Assignment((), CTX, ())) == t
+    assert weaken(fol, (), t, CTX) == t
+    assert fold(fv_model(fol), fol, (), t) == frozenset()
+    assert translate_term(builtin_table("fol2ll"), (), t) == expected
+
+
+def test_deep_term_on_the_command_line(capsys):
+    depth = 10_000
+    text = "(op succ " * depth + "(var 0)" + ")" * depth
+    code = main(["fv", "--sig", "nat", "--ctx", "1", text])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "{0}\n", "")

@@ -187,6 +187,15 @@ def test_lift_coherence_with_composition(ulc):
             assert lhs == rhs
 
 
+def test_subst_under_binder_agrees_with_lift(ulc):
+    src, dst = (STAR,), (STAR, STAR)
+    for sigma in all_assignments(ulc, src, dst):
+        lifted = lift_assignment(ulc, sigma, (STAR,))
+        for t in enumerate_terms(ulc, (STAR,) + src, STAR, 3):
+            under = subst(ulc, Op("abs", (), (t,)), sigma)
+            assert under == Op("abs", (), (subst(ulc, t, lifted),))
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 

@@ -32,7 +32,8 @@ from bindsig.errors import (
     ScopeError,
     Unbounded,
 )
-from bindsig.term import term_depth
+from bindsig.sigdef import Signature
+from bindsig.term import instantiations, term_depth
 
 from oracles import ulc_stage_count, well_formed_terms
 
@@ -116,16 +117,34 @@ def test_sort_of_ill_formed(ulc):
         sort_of(ulc, (), Op("mystery", (), ()))
 
 
+def test_sort_of_deep_abs_chain(ulc):
+    t = Var(0)
+    for _ in range(2000):
+        t = Op("abs", (), (t,))
+    assert sort_of(ulc, (), t) == STAR
+
+
+def test_sort_of_lets_foreign_errors_through(monkeypatch):
+    sig = builtin("ulc")
+
+    def broken_arity(self, name, params):
+        raise ValueError("broken arity")
+
+    monkeypatch.setattr(Signature, "arity", broken_arity)
+    with pytest.raises(ValueError, match="broken arity"):
+        sort_of(sig, (), LAM0)
+
+
 # ---------------------------------------------------------------------------
 # enumeration and the chain
 
 
 def test_stage_one_empty_context_has_no_terms(ulc):
-    assert enumerate_terms(ulc, (), STAR, 1) == []
+    assert enumerate_terms(ulc, (), STAR, 1) == ()
 
 
 def test_stage_two_exactly_identity(ulc):
-    assert enumerate_terms(ulc, (), STAR, 2) == [LAM0]
+    assert enumerate_terms(ulc, (), STAR, 2) == (LAM0,)
 
 
 def test_stage_three_exact_list(ulc):
@@ -139,12 +158,21 @@ def test_stage_three_exact_list(ulc):
     ]
 
 
+def test_cached_stages_cannot_be_mutated():
+    sig, stlc = builtin("ulc"), builtin("stlc")
+    for cached in (enumerate_terms(sig, (), STAR, 3), instantiations(stlc, "app", 1)):
+        with pytest.raises(AttributeError):
+            cached.clear()
+    assert len(enumerate_terms(sig, (), STAR, 3)) == chain_count(sig, (), STAR, 3) == 5
+    assert len(instantiations(stlc, "app", 1)) == 4
+
+
 def test_stage_zero_is_empty_everywhere():
     for name in ("ulc", "fol", "ll", "nat"):
         sig = builtin(name)
         star = sig.types.single_sort()
         assert chain_count(sig, (star, star), star, 0) == 0
-        assert enumerate_terms(sig, (star,), star, 0) == []
+        assert enumerate_terms(sig, (star,), star, 0) == ()
 
 
 @pytest.mark.parametrize("k,expected", [(1, 0), (2, 1), (3, 5), (4, 51)])
