@@ -11,11 +11,11 @@ interpretation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from .errors import DuplicateName, UnknownLabel
-from .model import ModelSpec
+from .model import ModelSpec, fold
 from .sigdef import (
     ConstructorSchema,
     Input,
@@ -24,7 +24,7 @@ from .sigdef import (
     parse_signature_source,
     sum_signatures,
 )
-from .term import Context, Op, Term, Var, _walk, ctx_extend
+from .term import Context, Op, Term, Var
 
 __all__ = [
     "OpLabel",
@@ -48,6 +48,7 @@ class OpLabel:
 @dataclass(frozen=True, slots=True)
 class OperatorFamily:
     labels: tuple[OpLabel, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -55,6 +56,10 @@ class OperatorFamily:
             if lab.name in seen:
                 raise DuplicateName(f"operator label {lab.name!r} declared twice")
             seen.add(lab.name)
+        object.__setattr__(self, "_hash", hash(self.labels))
+
+    def __hash__(self):
+        return self._hash
 
     def label(self, name: str) -> OpLabel:
         for lab in self.labels:
@@ -116,24 +121,27 @@ def free_extend(
 ) -> Any:
     """Universal extension of ``model`` along ``interp``.
 
-    Folds a term of the extended signature: base constructors run through
-    the model, and a label node with children v_1 .. v_n evaluates to
-    msubst(interp[label], position i -> v_i).  On label-free terms this
-    agrees with the plain fold.
+    The fold of a term of the extended signature into ``model`` extended
+    with the label cases: a label node with children v_1 .. v_n evaluates
+    to msubst(interp[label], position i -> v_i).  Each interp[label] is
+    trusted to be a model value over the label's input context; it is not
+    checked.  On label-free terms this agrees with the plain fold.
     """
-    for lab in family.labels:
-        if lab.name not in interp:
-            raise UnknownLabel(f"no interpretation for label {lab.name!r}")
     key = ("extend", family)
     cached = sig._cache.get(key)
     if cached is None:
-        cached = (extend_signature(sig, family), {lab.name for lab in family.labels})
-        sig._cache[key] = cached
-    ext, label_names = cached
+        inputs = {lab.name: lab.inputs for lab in family.labels}
+        cached = sig._cache[key] = (extend_signature(sig, family), inputs)
+    ext, inputs = cached
+    for name in inputs:
+        if name not in interp:
+            raise UnknownLabel(f"no interpretation for label {name!r}")
+    msubst, op_interp = model.msubst, model.op_interp
 
-    def node(c: Context, t: Op, arity, vals) -> Any:
-        if t.name in label_names:
-            return model.msubst(family.label(t.name).inputs, c, interp[t.name], tuple(vals))
-        return model.op_interp(c, t.name, t.params, tuple(vals))
+    def label_or_op(c: Context, name: str, params: tuple, vals: tuple) -> Any:
+        if name in inputs:
+            return msubst(inputs[name], c, interp[name], vals)
+        return op_interp(c, name, params, vals)
 
-    return _walk(ext, t, tuple(ctx), model.var_op, node, ctx_extend)
+    extended = ModelSpec(model.name, model.var_op, label_or_op, msubst, model.show)
+    return fold(extended, ext, ctx, t)

@@ -13,23 +13,27 @@ never throw on a failed law.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import TypedSignature
+from .errors import ArityMismatch, TypedSignature
 from .rng import XorShift64Star
-from .sigdef import Signature
+from .sigdef import BaseSort, Signature, sorts_up_to_depth
 from .subst import Assignment, Renaming, rename, subst
 from .term import (
     Context,
     Op,
     Term,
     Var,
+    _check_args,
+    _infer,
+    _scope_lookup,
     _walk,
     chain_count,
     ctx_extend,
     enumerate_terms,
-    mk_op,
     print_context,
     print_term,
     random_term,
@@ -85,15 +89,53 @@ def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
     return _walk(sig, t, tuple(ctx), model.var_op, node, ctx_extend)
 
 
+# At most this many built and not yet used nodes are remembered as checked.
+_TRUSTED = 1024
+
+
 def term_model(sig: Signature) -> ModelSpec:
-    """The initial model: terms with mk_op and subst as the structure."""
+    """The initial model: terms, with checked construction and subst as the
+    structure.
+
+    ``op_interp`` builds one node and checks it against its arguments'
+    sorts, raising what :func:`mk_op` raises: a variable argument's sort is
+    its entry in the argument's context, and an operator argument's is its
+    arity's output, because the model checked it when it built it over
+    that context.  The model remembers its latest unused nodes for this,
+    by weak reference; an operator argument it did not build, or built
+    over another context, is checked in full.  A fold into the term model
+    is therefore linear.
+    """
+    arity_of = sig.arity
+    built: dict = {}  # id -> (weak reference, context) of nodes built and not yet used
 
     def var_op(ctx, i):
         return Var(i)
 
     def op_interp(ctx, name, params, vals):
-        term, _sort = mk_op(sig, ctx, name, params, vals)
-        return term
+        ctx = tuple(ctx)
+        t = Op(name, tuple(params), tuple(vals))
+        arity = arity_of(name, t.params)
+        if len(t.args) != len(arity.inputs):
+            raise ArityMismatch(
+                f"{name} expects {len(arity.inputs)} argument(s), got {len(t.args)}"
+            )
+        found = []
+        for inp, v in zip(arity.inputs, t.args):
+            c = inp.bound + ctx if inp.bound else ctx
+            if type(v) is Var:
+                found.append(_scope_lookup((c, None, len(c)), v.index))
+                continue
+            hit = built.pop(id(v), None)
+            if hit is not None and hit[0]() is v and (hit[1] is c or hit[1] == c):
+                found.append(arity_of(v.name, v.params).output)
+            else:
+                found.append(_infer(sig, c, v))
+        _check_args(None, t, arity, found)
+        if len(built) >= _TRUSTED:
+            built.clear()  # forgotten nodes are only checked again
+        built[id(t)] = (weakref.ref(t), ctx)
+        return t
 
     def msubst(src, dst, value, images):
         return subst(sig, value, Assignment(src, dst, tuple(images)))
@@ -235,21 +277,17 @@ class Sample:
     ren: Optional[Renaming] = None
 
 
-def _contexts_for(sig: Signature, sizes: Sequence[int], max_sort_depth) -> list[Context]:
+def _contexts_for(sig: Signature, sizes: Sequence[int]) -> list[Context]:
     if sig.types.untyped:
         star = sig.types.single_sort()
         return [(star,) * n for n in sizes]
     # Typed signatures: repeat the first base sort; enough for a
     # deterministic representative suite.
-    from .sigdef import BaseSort
-
     base = BaseSort(sig.types.base_sorts[0])
     return [(base,) * n for n in sizes]
 
 
 def _sort_pool(sig: Signature, max_sort_depth):
-    from .sigdef import sorts_up_to_depth
-
     if sig.types.untyped:
         return [sig.types.single_sort()]
     return sorts_up_to_depth(sig.types, min(max_sort_depth or 1, 1))
@@ -274,10 +312,8 @@ def sample_suite(
     enumeration order).  Random part: ``random_cases`` seeded draws of
     terms at ``random_depth`` with random assignment images.
     """
-    from itertools import product as iproduct
-
     rng = XorShift64Star(seed)
-    contexts = _contexts_for(sig, ctx_sizes, max_sort_depth)
+    contexts = _contexts_for(sig, ctx_sizes)
     sorts = _sort_pool(sig, max_sort_depth)
     samples: list[Sample] = []
 
@@ -288,7 +324,7 @@ def sample_suite(
         if any(not p for p in pools):
             return []
         out = []
-        for images in iproduct(*pools):
+        for images in product(*pools):
             out.append(Assignment(src, dst, images))
             if len(out) >= cap:
                 break
@@ -303,7 +339,7 @@ def sample_suite(
         ]
         if any(not c for c in candidates):
             return []
-        for mapping in iproduct(*candidates):
+        for mapping in product(*candidates):
             out.append(Renaming(src, dst, mapping))
         return out
 
@@ -360,111 +396,127 @@ def _witness(sample: Sample) -> str:
     )
 
 
-def _law(report, show, law, sample, lhs_fn, rhs_fn, note=""):
-    """Evaluate one law instance; failures (including raised exceptions,
-    which broken models are free to produce) are recorded, never thrown."""
-    report.cases += 1
-    witness = None
-    try:
-        lhs = lhs_fn()
-        rhs = rhs_fn()
-        if lhs != rhs:
-            witness = _witness(sample) + note
-            report.failures.append(LawFailure(law, witness, show(lhs), show(rhs)))
-    except Exception as e:  # noqa: BLE001 - model code is arbitrary
-        witness = _witness(sample) + note
-        report.failures.append(LawFailure(law, witness, f"<error: {e}>", ""))
+def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_fn=fold):
+    """Run one suite: ``laws(model, sig, sample, fold)`` yields (law, note,
+    pair) per law instance, where ``pair()`` computes (lhs, rhs).
+
+    ``fold(ctx, t)`` folds each (ctx, t) once per call, memoising values
+    and raised exceptions.  Failures, including exceptions from ``pair``
+    (model code is arbitrary), are recorded, never thrown; an exception
+    from ``laws`` itself is one ``fold`` failure that ends the sample.
+    """
+    report = LawReport(f"{suite}:{model.name}")
+    show = model.show
+    memo: dict = {}
+
+    def fold_once(ctx, t):
+        hit = memo.get((ctx, t))
+        if hit is None:
+            try:
+                hit = (fold_fn(model, sig, ctx, t), None)
+            except Exception as e:  # noqa: BLE001
+                hit = (None, e)
+            memo[ctx, t] = hit
+        if hit[1] is not None:
+            raise hit[1]
+        return hit[0]
+
+    for sample in samples:
+        try:
+            for law, note, pair in laws(model, sig, sample, fold_once):
+                report.cases += 1
+                try:
+                    lhs, rhs = pair()
+                    if lhs != rhs:
+                        failure = LawFailure(law, _witness(sample) + note, show(lhs), show(rhs))
+                        report.failures.append(failure)
+                except Exception as e:  # noqa: BLE001
+                    failure = LawFailure(law, _witness(sample) + note, f"<error: {e}>", "")
+                    report.failures.append(failure)
+        except Exception as e:  # noqa: BLE001
+            report.cases += 1
+            report.failures.append(LawFailure("fold", _witness(sample), f"<error: {e}>", ""))
+    return report
+
+
+def _monoid_laws(model: ModelSpec, sig: Signature, sample: Sample, fold):
+    src, mid, dst = sample.src, sample.mid, sample.dst
+    msubst, var_op = model.msubst, model.var_op
+    sigma_v = tuple(fold(mid, img) for img in sample.sigma.images)
+    tau_v = tuple(fold(dst, img) for img in sample.tau.images)
+    v = fold(src, sample.term)
+    for i in range(len(src)):
+        yield "unit-var", f" position={i}", lambda: (
+            msubst(src, mid, var_op(src, i), sigma_v),
+            sigma_v[i],
+        )
+    yield "unit-id", "", lambda: (
+        msubst(src, src, v, tuple(var_op(src, i) for i in range(len(src)))),
+        v,
+    )
+    yield "assoc", "", lambda: (
+        msubst(mid, dst, msubst(src, mid, v, sigma_v), tau_v),
+        msubst(src, dst, v, tuple(msubst(mid, dst, x, tau_v) for x in sigma_v)),
+    )
+
+
+def _module_laws(model: ModelSpec, sig: Signature, sample: Sample, fold):
+    t, src, mid = sample.term, sample.src, sample.mid
+    if type(t) is not Op:
+        return
+    inputs = sig.arity(t.name, t.params).inputs
+
+    def square():
+        sigma_v = tuple(fold(mid, img) for img in sample.sigma.images)
+        vals = tuple(fold(inp.bound + src, arg) for inp, arg in zip(inputs, t.args))
+        lhs = model.msubst(src, mid, model.op_interp(src, t.name, t.params, vals), sigma_v)
+        sub_vals = []
+        for inp, val in zip(inputs, vals):
+            lsrc, ldst, lparts = lift_value_assignment(model, src, mid, sigma_v, inp.bound)
+            sub_vals.append(model.msubst(lsrc, ldst, val, lparts))
+        return lhs, model.op_interp(mid, t.name, t.params, tuple(sub_vals))
+
+    yield f"module:{t.name}", "", square
+
+
+def _morphism_laws(model: ModelSpec, sig: Signature, sample: Sample, fold):
+    t, src, mid, ren = sample.term, sample.src, sample.mid, sample.ren
+    msubst, var_op = model.msubst, model.var_op
+    yield "fold-subst", "", lambda: (
+        fold(mid, subst(sig, t, sample.sigma)),
+        msubst(src, mid, fold(src, t), tuple(fold(mid, img) for img in sample.sigma.images)),
+    )
+    if type(t) is Var:
+        yield "fold-var", "", lambda: (fold(src, t), var_op(src, t.index))
+    else:
+        inputs = sig.arity(t.name, t.params).inputs
+        yield f"fold-op:{t.name}", "", lambda: (
+            fold(src, t),
+            model.op_interp(
+                src,
+                t.name,
+                t.params,
+                tuple(fold(inp.bound + src, arg) for inp, arg in zip(inputs, t.args)),
+            ),
+        )
+    if ren is not None:
+        yield "fold-rename", "", lambda: (
+            fold(ren.target, rename(sig, t, ren)),
+            msubst(src, ren.target, fold(src, t), tuple(var_op(ren.target, j) for j in ren.mapping)),
+        )
 
 
 def check_monoid_laws(model: ModelSpec, sig: Signature, samples: Sequence[Sample]) -> LawReport:
     """Kleisli-triple laws on the model carrier: variable lookup, identity
     substitution, and associativity of composed assignments."""
-    report = LawReport(f"monoid:{model.name}")
-    show = model.show
-    for sample in samples:
-        src, mid, dst = sample.src, sample.mid, sample.dst
-        try:
-            sigma_v = tuple(fold(model, sig, mid, img) for img in sample.sigma.images)
-            tau_v = tuple(fold(model, sig, dst, img) for img in sample.tau.images)
-            v = fold(model, sig, src, sample.term)
-        except Exception as e:  # noqa: BLE001
-            report.cases += 1
-            report.failures.append(
-                LawFailure("fold", _witness(sample), f"<error: {e}>", "")
-            )
-            continue
-
-        for i in range(len(src)):
-            _law(
-                report,
-                show,
-                "unit-var",
-                sample,
-                lambda i=i: model.msubst(src, mid, model.var_op(src, i), sigma_v),
-                lambda i=i: sigma_v[i],
-                note=f" position={i}",
-            )
-
-        identity = tuple(model.var_op(src, i) for i in range(len(src)))
-        _law(
-            report,
-            show,
-            "unit-id",
-            sample,
-            lambda: model.msubst(src, src, v, identity),
-            lambda: v,
-        )
-
-        _law(
-            report,
-            show,
-            "assoc",
-            sample,
-            lambda: model.msubst(mid, dst, model.msubst(src, mid, v, sigma_v), tau_v),
-            lambda: model.msubst(
-                src, dst, v, tuple(model.msubst(mid, dst, x, tau_v) for x in sigma_v)
-            ),
-        )
-    return report
+    return _run_laws("monoid", _monoid_laws, model, sig, samples)
 
 
 def check_module_laws(model: ModelSpec, sig: Signature, samples: Sequence[Sample]) -> LawReport:
     """Substitution/constructor squares: substituting into a constructor
     equals the constructor applied to substitutions under lifted
     assignments."""
-    report = LawReport(f"module:{model.name}")
-    show = model.show
-    for sample in samples:
-        t = sample.term
-        if type(t) is not Op:
-            continue
-        src, mid = sample.src, sample.mid
-        arity = sig.arity(t.name, t.params)
-
-        def lhs_fn(t=t, src=src, mid=mid, arity=arity, sample=sample):
-            sigma_v = tuple(fold(model, sig, mid, img) for img in sample.sigma.images)
-            vals = tuple(
-                fold(model, sig, inp.bound + src, arg)
-                for inp, arg in zip(arity.inputs, t.args)
-            )
-            return model.msubst(
-                src, mid, model.op_interp(src, t.name, t.params, vals), sigma_v
-            )
-
-        def rhs_fn(t=t, src=src, mid=mid, arity=arity, sample=sample):
-            sigma_v = tuple(fold(model, sig, mid, img) for img in sample.sigma.images)
-            vals = tuple(
-                fold(model, sig, inp.bound + src, arg)
-                for inp, arg in zip(arity.inputs, t.args)
-            )
-            sub_vals = []
-            for inp, val in zip(arity.inputs, vals):
-                lsrc, ldst, lparts = lift_value_assignment(model, src, mid, sigma_v, inp.bound)
-                sub_vals.append(model.msubst(lsrc, ldst, val, lparts))
-            return model.op_interp(mid, t.name, t.params, tuple(sub_vals))
-
-        _law(report, show, f"module:{t.name}", sample, lhs_fn, rhs_fn)
-    return report
+    return _run_laws("module", _module_laws, model, sig, samples)
 
 
 def check_morphism(
@@ -478,72 +530,7 @@ def check_morphism(
     ``fold_fn`` defaults to the library fold; the mutation tests pass a
     deliberately corrupted fold and expect reported failures.
     """
-    report = LawReport(f"morphism:{model.name}")
-    show = model.show
-    for sample in samples:
-        t = sample.term
-        src, mid = sample.src, sample.mid
-
-        _law(
-            report,
-            show,
-            "fold-subst",
-            sample,
-            lambda t=t, sample=sample, mid=mid: fold_fn(
-                model, sig, mid, subst(sig, t, sample.sigma)
-            ),
-            lambda t=t, sample=sample, src=src, mid=mid: model.msubst(
-                src,
-                mid,
-                fold_fn(model, sig, src, t),
-                tuple(fold_fn(model, sig, mid, img) for img in sample.sigma.images),
-            ),
-        )
-
-        if type(t) is Var:
-            _law(
-                report,
-                show,
-                "fold-var",
-                sample,
-                lambda t=t, src=src: fold_fn(model, sig, src, t),
-                lambda t=t, src=src: model.var_op(src, t.index),
-            )
-        else:
-            arity = sig.arity(t.name, t.params)
-            _law(
-                report,
-                show,
-                f"fold-op:{t.name}",
-                sample,
-                lambda t=t, src=src: fold_fn(model, sig, src, t),
-                lambda t=t, src=src, arity=arity: model.op_interp(
-                    src,
-                    t.name,
-                    t.params,
-                    tuple(
-                        fold_fn(model, sig, inp.bound + src, arg)
-                        for inp, arg in zip(arity.inputs, t.args)
-                    ),
-                ),
-            )
-
-        if sample.ren is not None:
-            ren = sample.ren
-            _law(
-                report,
-                show,
-                "fold-rename",
-                sample,
-                lambda t=t, ren=ren: fold_fn(model, sig, ren.target, rename(sig, t, ren)),
-                lambda t=t, ren=ren, src=src: model.msubst(
-                    src,
-                    ren.target,
-                    fold_fn(model, sig, src, t),
-                    tuple(model.var_op(ren.target, j) for j in ren.mapping),
-                ),
-            )
-    return report
+    return _run_laws("morphism", _morphism_laws, model, sig, samples, fold_fn)
 
 
 def run_law_suites(

@@ -94,7 +94,8 @@ class Var(Term):
 
 
 class Op(Term):
-    __slots__ = ("name", "params", "args", "_hash")
+    # Weak references let the term model remember the nodes it has checked.
+    __slots__ = ("name", "params", "args", "_hash", "__weakref__")
     __match_args__ = ("name", "params", "args")
 
     def __init__(self, name: str, params: tuple = (), args: tuple = ()):

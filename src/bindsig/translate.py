@@ -10,7 +10,7 @@ translate to themselves because the context image is pointwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -33,6 +33,7 @@ from .sigdef import (
     _parse_sort_expr,
     builtin,
     print_sort,
+    sorts_up_to_depth,
     tokenize,
 )
 from .term import Context, Op, Term, Var, _read_term, _walk
@@ -138,111 +139,78 @@ class TranslationTable:
     target: Signature
     morphism: TypeMorphism
     clauses: Mapping[str, Template]
+    # (schema name, source params) -> clause with its parameters resolved
+    _checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def _resolve_params(table: TranslationTable, params: tuple, source_params: tuple) -> tuple:
-    out = []
-    for p in params:
-        if isinstance(p, ParamRef):
-            value = source_params[p.index]
-            out.append(table.morphism.apply(value) if not isinstance(value, int) else value)
-        else:
-            out.append(p)
-    return tuple(out)
+def _clause_at(table: TranslationTable, name: str, source_params: tuple) -> Template:
+    """The clause of ``name`` at ``source_params``, its parameters resolved,
+    checked against the source arity on first use and memoised."""
+    key = (name, source_params)
+    hit = table._checked.get(key)
+    if hit is not None:
+        return hit
+    try:
+        template = table.clauses[name]
+    except KeyError:
+        raise MissingClause(f"no clause for source operator {name!r}") from None
+    g, target = table.morphism, table.target
+    arity = table.source.arity(name, source_params)
+    placeholders = [(map_context(g, inp.bound), g.apply(inp.sort)) for inp in arity.inputs]
+    # Sort parameters pass through the type morphism, nat parameters unchanged.
+    resolved = tuple(p if isinstance(p, int) else g.apply(p) for p in source_params)
 
-
-def _check_template(
-    table: TranslationTable,
-    schema_name: str,
-    template: Template,
-    expected: Sort,
-    accum: tuple[Sort, ...],
-    placeholder_specs: dict,
-    source_params: tuple,
-) -> None:
-    if isinstance(template, Placeholder):
-        exp_bound, exp_sort = placeholder_specs.get(template.index, (None, None))
-        if exp_bound is None:
-            raise OffsetMismatch(f"{schema_name}: placeholder {template.index} out of range")
-        if accum != exp_bound:
-            raise OffsetMismatch(
-                f"{schema_name}: placeholder {template.index} sits under binder extension "
-                f"{[print_sort(s) for s in accum]}, expected {[print_sort(s) for s in exp_bound]}"
-            )
-        if expected != exp_sort:
-            raise SortMismatch(
-                f"{schema_name}: placeholder {template.index} used at sort "
-                f"{print_sort(expected)}, carries {print_sort(exp_sort)}"
-            )
-        return
-    if type(template) is Var:
-        if not (0 <= template.index < len(accum)):
-            raise ScopeError(
-                f"{schema_name}: template variable {template.index} escapes the "
-                "template's own binders"
-            )
-        if accum[template.index] != expected:
-            raise SortMismatch(
-                f"{schema_name}: template variable {template.index} has sort "
-                f"{print_sort(accum[template.index])}, expected {print_sort(expected)}"
-            )
-        return
-    if type(template) is Op:
-        params = _resolve_params(table, template.params, source_params)
-        arity = table.target.arity(template.name, params)
+    def check(template: Template, expected: Sort, accum: tuple[Sort, ...]) -> Template:
+        if isinstance(template, Placeholder):
+            j = template.index
+            if not (0 <= j < len(placeholders)):
+                raise OffsetMismatch(f"{name}: placeholder {j} out of range")
+            exp_bound, exp_sort = placeholders[j]
+            if accum != exp_bound:
+                raise OffsetMismatch(
+                    f"{name}: placeholder {j} sits under binder extension "
+                    f"{[print_sort(s) for s in accum]}, "
+                    f"expected {[print_sort(s) for s in exp_bound]}"
+                )
+            if expected != exp_sort:
+                raise SortMismatch(
+                    f"{name}: placeholder {j} used at sort "
+                    f"{print_sort(expected)}, carries {print_sort(exp_sort)}"
+                )
+            return template
+        if type(template) is Var:
+            if not (0 <= template.index < len(accum)):
+                raise ScopeError(
+                    f"{name}: template variable {template.index} escapes the "
+                    "template's own binders"
+                )
+            if accum[template.index] != expected:
+                raise SortMismatch(
+                    f"{name}: template variable {template.index} has sort "
+                    f"{print_sort(accum[template.index])}, expected {print_sort(expected)}"
+                )
+            return template
+        if type(template) is not Op:
+            raise SortMismatch(f"{name}: not a template node: {template!r}")
+        params = tuple(resolved[p.index] if isinstance(p, ParamRef) else p for p in template.params)
+        arity = target.arity(template.name, params)
         if arity.output != expected:
             raise SortMismatch(
-                f"{schema_name}: template node {template.name} returns "
+                f"{name}: template node {template.name} returns "
                 f"{print_sort(arity.output)}, expected {print_sort(expected)}"
             )
         if len(arity.inputs) != len(template.args):
             raise SortMismatch(
-                f"{schema_name}: template node {template.name} applied to "
+                f"{name}: template node {template.name} applied to "
                 f"{len(template.args)} argument(s), needs {len(arity.inputs)}"
             )
-        for inp, arg in zip(arity.inputs, template.args):
-            _check_template(
-                table,
-                schema_name,
-                arg,
-                inp.sort,
-                inp.bound + accum,
-                placeholder_specs,
-                source_params,
-            )
-        return
-    raise SortMismatch(f"{schema_name}: not a template node: {template!r}")
+        args = tuple(
+            check(arg, inp.sort, inp.bound + accum) for inp, arg in zip(arity.inputs, template.args)
+        )
+        return Op(template.name, params, args)
 
-
-def _spot_params(sig: Signature, schema) -> tuple:
-    """A sample instantiation used to validate parameterized clauses."""
-    from .sigdef import sorts_up_to_depth
-
-    sorts = sorts_up_to_depth(sig.types, 0)
-    out = []
-    for p in schema.params:
-        out.append(sorts[0] if p.kind == "sort" else 0)
-    return tuple(out)
-
-
-def _validate_clause(table: TranslationTable, schema_name: str, source_params: tuple) -> None:
-    schema = table.source.schema(schema_name)
-    arity = table.source.arity(schema_name, source_params)
-    g = table.morphism
-    placeholder_specs = {
-        j: (map_context(g, inp.bound), g.apply(inp.sort))
-        for j, inp in enumerate(arity.inputs)
-    }
-    template = table.clauses[schema_name]
-    _check_template(
-        table,
-        schema_name,
-        template,
-        g.apply(arity.output),
-        (),
-        placeholder_specs,
-        source_params,
-    )
+    hit = table._checked[key] = check(template, g.apply(arity.output), ())
+    return hit
 
 
 def make_table(
@@ -253,8 +221,11 @@ def make_table(
 ) -> TranslationTable:
     """Validated table: one clause per source schema, placeholders at
     exactly the image of their input's binder extension, output sorts
-    coherent with the type morphism.  Parameterized schemas are
-    spot-checked at a sample instantiation and re-checked per use."""
+    coherent with the type morphism.
+
+    A parameterized clause is checked at a sample instantiation here, and
+    at every other instantiation when ``translate_term`` first meets it;
+    each check is memoised on the table."""
     for schema in source.schemas:
         if schema.name not in clauses:
             raise MissingClause(f"no clause for source operator {schema.name!r}")
@@ -262,33 +233,30 @@ def make_table(
         source.schema(name)  # raises UnknownOp on junk clauses
     table = TranslationTable(source, target, morphism, dict(clauses))
     for schema in source.schemas:
-        _validate_clause(table, schema.name, _spot_params(source, schema))
+        # The sample instantiation: the first sort, or 0, for each parameter.
+        spot = tuple(
+            sorts_up_to_depth(source.types, 0)[0] if p.kind == "sort" else 0
+            for p in schema.params
+        )
+        _clause_at(table, schema.name, spot)
     return table
 
 
-def _graft(template: Template, args: Sequence[Term], source_params: tuple, table) -> Term:
+def _graft(template: Template, args: Sequence[Term]) -> Term:
     if isinstance(template, Placeholder):
         return args[template.index]
     if type(template) is Var:
         return template
-    params = _resolve_params(table, template.params, source_params)
-    return Op(
-        template.name,
-        params,
-        tuple(_graft(a, args, source_params, table) for a in template.args),
-    )
+    return Op(template.name, template.params, tuple(_graft(a, args) for a in template.args))
 
 
 def translate_term(table: TranslationTable, ctx: Sequence[Sort], t: Term) -> Term:
     """Apply the table; the result is well-formed over the image context
-    at the image sort.  Variables keep their indices."""
+    at the image sort.  Variables keep their indices.  A clause that is
+    ill-sorted at a parameter instantiation raises when first used there."""
 
     def node(env, t: Op, arity, translated) -> Term:
-        try:
-            template = table.clauses[t.name]
-        except KeyError:
-            raise MissingClause(f"no clause for source operator {t.name!r}") from None
-        return _graft(template, translated, t.params, table)
+        return _graft(_clause_at(table, t.name, t.params), translated)
 
     # Translation needs no context: variables keep their indices.
     return _walk(table.source, t, None, lambda env, i: Var(i), node, lambda env, bound: None)

@@ -5,7 +5,8 @@ through parse, print, checking, substitution, renaming, folds, translation,
 equality and hashing.  Expected values are built by plain loops, not by the
 library's traversal.  Folds into models run on binder-free chains: a model
 receives every node's context as a tuple, so a fold over n nested binders
-builds contexts of total size n^2 / 2.
+builds contexts of total size n^2 / 2.  Folding a chain into the term model
+gives the chain back, checking each node once.
 """
 
 import pytest
@@ -27,6 +28,7 @@ from bindsig import (
     rename,
     sort_of,
     subst,
+    term_model,
     translate_term,
     weaken,
 )
@@ -108,12 +110,18 @@ def test_deep_folds():
     nat = builtin("nat")
     t = succs(Var(0))
     assert fold(fv_model(nat), nat, CTX, t) == {0}
+    assert fold(term_model(nat), nat, CTX, t) == t
 
     family = OperatorFamily.untyped(nat, {"wrap": 1})
     labelled = Var(0)
     for i in range(N):
         labelled = Op("wrap" if i % 2 else "succ", (), (labelled,))
     assert free_extend(fv_model(nat), nat, family, {"wrap": frozenset({0})}, CTX, labelled) == {0}
+    # wrap interpreted as the identity: the labels drop out
+    unwrapped = Var(0)
+    for _ in range(N // 2):
+        unwrapped = Op("succ", (), (unwrapped,))
+    assert free_extend(term_model(nat), nat, family, {"wrap": Var(0)}, CTX, labelled) == unwrapped
 
 
 def test_deep_translation():
@@ -128,6 +136,7 @@ def test_deep_translation():
     assert subst(fol, t, Assignment((), CTX, ())) == t
     assert weaken(fol, (), t, CTX) == t
     assert fold(fv_model(fol), fol, (), t) == frozenset()
+    assert fold(term_model(fol), fol, (), t) == t
     assert translate_term(builtin_table("fol2ll"), (), t) == expected
 
 

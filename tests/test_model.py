@@ -1,31 +1,40 @@
 import json
+import sys
+import threading
 
 import pytest
 
 from bindsig import (
+    ArrowSort,
     Assignment,
     BaseSort,
     ModelSpec,
     Op,
     Renaming,
     Var,
+    builtin,
     check_module_laws,
     check_monoid_laws,
     check_morphism,
     enumerate_terms,
     fold,
     fv_model,
+    mk_op,
+    print_term,
     rename,
     sample_suite,
+    sort_of,
     subst,
     term_model,
 )
-from bindsig.errors import TypedSignature
+from bindsig.errors import ArityMismatch, IllFormed, ScopeError, SortMismatch, TypedSignature
 from bindsig.model import run_law_suites
 
 from oracles import direct_free_vars
 
 STAR = BaseSort("*")
+IOTA = BaseSort("iota")
+ARR = ArrowSort(IOTA, IOTA)
 LAM0 = Op("abs", (), (Var(0),))
 
 
@@ -99,6 +108,88 @@ def test_fv_substitution_identity(ulc):
                     *(fv_images[i] for i in fold(m, ulc, src, t))
                 )
                 assert fold(m, ulc, dst, subst(ulc, t, sigma)) == expected
+
+
+@pytest.mark.parametrize(
+    "sig_name, ctx, term, cause",
+    [
+        # a variable escaping under two binders
+        ("ulc", (), Op("abs", (), (Op("app", (), (Var(0), Op("abs", (), (Var(2),)))),)), ScopeError),
+        # the inner app<arrow(iota,iota),iota> meets an iota -> iota function
+        (
+            "stlc",
+            (ARR,),
+            Op(
+                "abs",
+                (IOTA, IOTA),
+                (
+                    Op(
+                        "app",
+                        (IOTA, IOTA),
+                        (Var(1), Op("app", (ARR, IOTA), (Var(1), Var(0)))),
+                    ),
+                ),
+            ),
+            SortMismatch,
+        ),
+        ("ulc", (STAR,), Op("abs", (), (Op("app", (), (Var(0),)),)), ArityMismatch),
+    ],
+)
+def test_term_model_fold_rejects_ill_formed_terms_like_sort_of(sig_name, ctx, term, cause):
+    sig = builtin(sig_name)
+    with pytest.raises(IllFormed) as checked:
+        sort_of(sig, ctx, term)
+    assert type(checked.value.__cause__) is cause
+    with pytest.raises(cause) as folded:
+        fold(term_model(sig), sig, ctx, term)
+    assert str(folded.value) == str(checked.value.__cause__)
+
+
+def test_term_model_checks_arguments_it_did_not_build_in_full(ulc):
+    # the ill-scoped variable sits below the node's own arguments
+    escaped = Op("abs", (), (Var(1),))
+    m = term_model(ulc)
+    with pytest.raises(ScopeError) as direct:
+        m.op_interp((), "app", (), (LAM0, escaped))
+    with pytest.raises(ScopeError) as checked:
+        mk_op(ulc, (), "app", (), (LAM0, escaped))
+    assert str(direct.value) == str(checked.value)
+    # a node it built over another context is checked again too
+    built = fold(m, ulc, (STAR,), Op("abs", (), (Var(1),)))
+    with pytest.raises(ScopeError):
+        m.op_interp((), "app", (), (LAM0, built))
+
+
+def test_term_model_shared_between_threads(ulc):
+    # one model's memory of checked nodes is shared: a lost update may cost
+    # a second check, never a missed one
+    m = term_model(ulc)
+    cases = [((STAR,) * n, t) for n in range(3) for t in enumerate_terms(ulc, (STAR,) * n, STAR, 3)]
+    escaped = Op("abs", (), (Var(1),))
+    errors = []
+
+    def work():
+        try:
+            for _ in range(10):
+                for ctx, t in cases:
+                    assert fold(m, ulc, ctx, t) == t
+                    with pytest.raises(ScopeError):
+                        m.op_interp((), "app", (), (fold(m, ulc, (STAR,), escaped), LAM0))
+        except BaseException as e:  # noqa: BLE001 - reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +320,49 @@ def test_mutated_fold_fails_defining_equation(ulc, suite):
 
     report = check_morphism(m, ulc, suite, fold_fn=mutated_fold)
     assert not report.passed
+
+
+def raising(model, part):
+    def boom(*args):
+        raise ValueError(f"{part} refused")
+
+    ops = {"op_interp": model.op_interp, "msubst": model.msubst, part: boom}
+    return ModelSpec(f"{model.name}-no-{part}", model.var_op, ops["op_interp"], ops["msubst"])
+
+
+@pytest.mark.parametrize("make", [fv_model, term_model])
+def test_reports_of_models_that_raise(ulc, suite, make):
+    samples = [s for s in suite if type(s.term) is Op]
+    no_op, no_msubst = raising(make(ulc), "op_interp"), raising(make(ulc), "msubst")
+
+    # the sample's own folds fail first: one case and one failure per sample
+    report = check_monoid_laws(no_op, ulc, samples)
+    assert report.cases == len(samples) == len(report.failures)
+    assert {(f.law, f.lhs, f.rhs) for f in report.failures} == {
+        ("fold", "<error: op_interp refused>", "")
+    }
+    assert all(
+        f" term={print_term(s.term)} " in f.witness for s, f in zip(samples, report.failures)
+    )
+
+    # every instance of these laws needs the failing part: one error each
+    for check, model in (
+        (check_module_laws, no_op),
+        (check_module_laws, no_msubst),
+        (check_morphism, no_op),
+    ):
+        report = check(model, ulc, samples)
+        assert report.cases == len(report.failures) > 0
+        assert all(f.lhs.startswith("<error: ") and f.rhs == "" for f in report.failures)
+
+    # fold-op needs no msubst and holds; the other morphism laws fail once each
+    report = check_morphism(no_msubst, ulc, samples)
+    assert report.cases == len(samples) + len(report.failures)
+    assert {(f.law, f.lhs) for f in report.failures} == {
+        ("fold-subst", "<error: msubst refused>"),
+        ("fold-rename", "<error: msubst refused>"),
+    }
+    assert len(report.failures) == sum(1 + (s.ren is not None) for s in samples)
 
 
 # ---------------------------------------------------------------------------

@@ -332,3 +332,21 @@ def test_parse_table_sort_error():
     bad = FOL2LL_FILE.replace("clause top = (op top)", "clause top = (op bang (ph 0))")
     with pytest.raises((SortMismatch, OffsetMismatch)):
         parse_table(bad)
+
+
+def test_clause_is_checked_at_each_instantiation(stlc):
+    # app<iota,t> is well-sorted at the spot check (s = iota) and nowhere else
+    text = (
+        "translate stlc -> stlc\n"
+        "clause app<s,t> = (op app<iota,t> (ph 0) (ph 1))\n"
+        "clause abs<s,t> = (op abs<s,t> (ph 0))\n"
+    )
+    table = parse_table(text)
+    ctx = (ArrowSort(ARR, IOTA), ARR)
+    t = Op("app", (ARR, IOTA), (Var(0), Var(1)))
+    assert sort_of(stlc, ctx, t) == IOTA
+    with pytest.raises(SortMismatch):
+        translate_term(table, ctx, t)
+    # the instantiation the spot check covered still translates
+    ok = Op("app", (IOTA, IOTA), (Var(0), Var(1)))
+    assert translate_term(table, (ARR, IOTA), ok) == ok
