@@ -8,12 +8,13 @@ is deterministic given its flags and seed.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .errors import BindsigError, ContextMismatch, UnknownBuiltin
-from .model import run_law_suites
-from .sigdef import Signature, TokenStream, _load_signature, parse_signature, parse_sort, tokenize
+from .model import fold, fv_model, run_law_suites
+from .sigdef import Signature, TokenStream, _load_signature, parse_signature, parse_sort
 from .subst import make_assignment, subst
 from .term import (
     _read_term,
@@ -25,14 +26,14 @@ from .term import (
     print_term,
     sort_of,
 )
-from .translate import builtin_table, map_context, parse_table, translate_term
+from .translate import builtin_table, parse_table, translate_term
 
 __all__ = ["main"]
 
 
 def _resolve_sort(sig: Signature, text: str | None):
     if text is None:
-        if len(sig.types.base_sorts) == 1 and not sig.types.arrow_enabled:
+        if sig.types.untyped:
             return sig.types.single_sort()
         raise ContextMismatch("--sort is required for a multi-sorted signature")
     sort = parse_sort(text)
@@ -65,7 +66,8 @@ def _cmd_enum(args) -> int:
         _emit(records, str(n), {"count": str(n)})
         return 0
     for t in enumerate_terms(sig, ctx, sort, args.depth, args.max_sort_depth):
-        _emit(records, print_term(t), {"term": print_term(t)})
+        text = print_term(t)
+        _emit(records, text, {"term": text})
     return 0
 
 
@@ -105,7 +107,7 @@ def _cmd_subst(args) -> int:
     target = parse_context(sig.types, args.target) if args.target else ctx
     t = parse_term(args.term)
     sort_of(sig, ctx, t)  # validate before substituting
-    ts = TokenStream(tokenize(args.assign))
+    ts = TokenStream(args.assign)
     images = ts.form("assign", lambda: _read_term(ts))
     ts.expect_eof()
     assignment = make_assignment(sig, ctx, target, images)
@@ -122,22 +124,17 @@ def _cmd_translate(args) -> int:
     ctx = parse_context(table.source.types, args.ctx)
     t = parse_term(args.term)
     sort_of(table.source, ctx, t)
-    out = translate_term(table, ctx, t)
-    sort_of(table.target, map_context(table.morphism, ctx), out)
-    print(print_term(out))
+    print(print_term(translate_term(table, ctx, t)))
     return 0
 
 
 def _cmd_fv(args) -> int:
-    from .model import fold, fv_model
-
     sig = _load_signature(args.sig)
     ctx = parse_context(sig.types, args.ctx)
     t = parse_term(args.term)
     sort_of(sig, ctx, t)
     model = fv_model(sig)
-    fv = fold(model, sig, ctx, t)
-    print("{" + ", ".join(str(i) for i in sorted(fv)) + "}")
+    print(model.show(fold(model, sig, ctx, t)))
     return 0
 
 
@@ -153,6 +150,7 @@ def _fix_term(args, parser):
     args.term = term
 
 
+@functools.cache  # built on the first main(), then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bindsig",

@@ -34,6 +34,7 @@ from .term import (
     chain_count,
     ctx_extend,
     enumerate_terms,
+    mk_var,
     print_context,
     print_term,
     random_term,
@@ -97,8 +98,9 @@ def term_model(sig: Signature) -> ModelSpec:
     """The initial model: terms, with checked construction and subst as the
     structure.
 
-    ``op_interp`` builds one node and checks it against its arguments'
-    sorts, raising what :func:`mk_op` raises: a variable argument's sort is
+    ``var_op`` raises what :func:`mk_var` raises.  ``op_interp`` builds one
+    node and checks it against its arguments' sorts, raising what
+    :func:`mk_op` raises: a variable argument's sort is
     its entry in the argument's context, and an operator argument's is its
     arity's output, because the model checked it when it built it over
     that context.  The model remembers its latest unused nodes for this,
@@ -110,7 +112,9 @@ def term_model(sig: Signature) -> ModelSpec:
     built: dict = {}  # id -> (weak reference, context) of nodes built and not yet used
 
     def var_op(ctx, i):
-        return Var(i)
+        if 0 <= i < len(ctx):
+            return Var(i)
+        return mk_var(ctx, i)[0]  # raises ScopeError
 
     def op_interp(ctx, name, params, vals):
         ctx = tuple(ctx)

@@ -107,8 +107,12 @@ UNTYPED = TypeSystem(("*",))
 STAR = BaseSort("*")
 
 
-def check_sort(types: TypeSystem, sort: SortTemplate) -> None:
-    """Raise MalformedSort unless ``sort`` is well-formed in ``types``."""
+def check_sort(types: TypeSystem, sort: Sort) -> None:
+    """Raise MalformedSort unless ``sort`` is a well-formed sort of ``types``.
+
+    A SortRef is not a sort; schema templates are checked by
+    :func:`make_signature`.
+    """
     if isinstance(sort, BaseSort):
         if sort.name not in types.base_sorts:
             raise MalformedSort(f"unknown base sort {sort.name!r}")
@@ -117,8 +121,6 @@ def check_sort(types: TypeSystem, sort: SortTemplate) -> None:
             raise MalformedSort("arrow sort in a type system without arrows")
         check_sort(types, sort.domain)
         check_sort(types, sort.codomain)
-    elif isinstance(sort, SortRef):
-        pass
     else:
         raise MalformedSort(f"not a sort: {sort!r}")
 
@@ -273,8 +275,7 @@ class Signature:
 def make_signature(types: TypeSystem, schemas: Iterable[ConstructorSchema]) -> Signature:
     """Validate and assemble a signature.
 
-    Schema arity templates are checked structurally against ``types``;
-    parameter-free schemas are additionally spot-instantiated.
+    Schema arity templates are checked structurally against ``types``.
     """
     schemas = tuple(schemas)
     seen = set()
@@ -282,16 +283,11 @@ def make_signature(types: TypeSystem, schemas: Iterable[ConstructorSchema]) -> S
         if s.name in seen:
             raise DuplicateName(f"operator {s.name!r} declared twice")
         seen.add(s.name)
-        for i, p in enumerate(s.params):
-            if p.kind not in ("sort", "nat"):
-                raise ParamKindMismatch(f"{s.name}: bad parameter kind {p.kind!r}")
         for inp in s.inputs:
             for b in inp.bound:
                 _check_template(types, s, b)
             _check_template(types, s, inp.sort)
         _check_template(types, s, s.output)
-        if not s.params:
-            instantiate(s, (), types)
     return Signature(types, schemas)
 
 
@@ -453,86 +449,73 @@ def builtin(name: str) -> Signature:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer shared by the signature, term, and table grammars
+# Scanner shared by the signature, term, and table grammars
 
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
+    r"""(?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
       | (?P<arrowsym>->|=>)
       | (?P<nat>\d+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_?]*|\*)
       | (?P<punct>[()<>\[\],:|=-])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """The tokens of ``text``, scanned in one pass, as (kind, text, offset).
+
+    A position is turned into a line and a column only when a ParseError
+    is built: both are 1-based, a tab is one column, and only ``\\n``
+    breaks a line.  The final ``eof`` token sits just past the last
+    character.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if kind != "skip":
+                tokens.append((kind, m.group(), m.start()))
+        tokens.append(("eof", "", len(text)))
         self.pos = 0
 
-    def peek(self) -> Token:
+    def error(self, message: str, offset: int) -> ParseError:
+        """A ParseError located at ``offset`` in the text."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok
+    def expect(self, text: str) -> None:
+        _, found, offset = self.next()
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found or 'end of input'!r}", offset)
 
-    def expect_kind(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
-        return tok
+    def expect_kind(self, kind: str) -> str:
+        """The text of the next token, which must be of ``kind``."""
+        found, text, offset = self.next()
+        if found != kind:
+            raise self.error(f"expected {kind}, found {text or 'end of input'!r}", offset)
+        return text
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.pos][1] == text
+
+    def at_eof(self) -> bool:
+        return self.tokens[self.pos][0] == "eof"
 
     def delimited(self, item, close: str) -> list:
         """``item()`` once, then again after each comma, then ``close``."""
@@ -554,9 +537,9 @@ class TokenStream:
         return items
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        kind, text, offset = self.peek()
+        if kind != "eof":
+            raise self.error(f"trailing input {text!r}", offset)
 
 
 # ---------------------------------------------------------------------------
@@ -564,23 +547,23 @@ class TokenStream:
 
 
 def _parse_sort_expr(ts: TokenStream, param_index: dict | None = None) -> SortTemplate:
-    tok = ts.next()
-    if tok.text == "arrow":
+    kind, text, offset = ts.next()
+    if text == "arrow":
         ts.expect("(")
         dom = _parse_sort_expr(ts, param_index)
         ts.expect(",")
         cod = _parse_sort_expr(ts, param_index)
         ts.expect(")")
         return ArrowSort(dom, cod)
-    if tok.kind == "ident":
-        if param_index and tok.text in param_index:
-            return SortRef(param_index[tok.text])
-        return BaseSort(tok.text)
-    raise ParseError(f"expected a sort, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+    if kind == "ident":
+        if param_index and text in param_index:
+            return SortRef(param_index[text])
+        return BaseSort(text)
+    raise ts.error(f"expected a sort, found {text or 'end of input'!r}", offset)
 
 
 def parse_sort(text: str) -> Sort:
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     sort = _parse_sort_expr(ts)
     ts.expect_eof()
     return sort
@@ -602,12 +585,12 @@ def _print_template(tpl: SortTemplate, params: tuple[Param, ...]) -> str:
 
 
 def _parse_param_decl(ts: TokenStream) -> Param:
-    name = ts.expect_kind("ident").text
+    name = ts.expect_kind("ident")
     ts.expect(":")
-    kind_tok = ts.next()
-    if kind_tok.text not in ("sort", "nat"):
-        raise ParseError("parameter kind must be 'sort' or 'nat'", kind_tok.line, kind_tok.col)
-    return Param(name, kind_tok.text)
+    _, kind, offset = ts.next()
+    if kind not in ("sort", "nat"):
+        raise ts.error("parameter kind must be 'sort' or 'nat'", offset)
+    return Param(name, kind)
 
 
 def _parse_input(ts: TokenStream, param_index: dict) -> Input:
@@ -619,7 +602,7 @@ def _parse_input(ts: TokenStream, param_index: dict) -> Input:
 
 
 def _parse_op_decl(ts: TokenStream) -> ConstructorSchema:
-    name = ts.expect_kind("ident").text
+    name = ts.expect_kind("ident")
     params: list[Param] = []
     if ts.at("<"):
         ts.next()
@@ -645,56 +628,46 @@ def parse_signature_source(text: str) -> tuple[Signature, tuple[ConstructorSchem
     variables or take parameters; :mod:`bindsig.freemodel` turns them
     into an operator family.
     """
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     ts.expect("signature")
     ts.expect_kind("ident")
     types: TypeSystem | None = None
     schemas: list[ConstructorSchema] = []
     operators: list[ConstructorSchema] = []
     in_operators = False
-    while ts.peek().kind != "eof":
-        tok = ts.next()
-        if tok.text == "sorts":
+    while not ts.at_eof():
+        _, word, offset = ts.next()
+        if word == "sorts":
             if types is not None:
-                raise ParseError("duplicate sorts declaration", tok.line, tok.col)
+                raise ts.error("duplicate sorts declaration", offset)
             if schemas or in_operators:
-                raise ParseError("sorts must be declared before any op", tok.line, tok.col)
-            names = [ts.expect_kind("ident").text]
+                raise ts.error("sorts must be declared before any op", offset)
+            names = [ts.expect_kind("ident")]
             while ts.at("|"):
                 ts.next()
-                names.append(ts.expect_kind("ident").text)
+                names.append(ts.expect_kind("ident"))
             arrow = False
             if ts.at("with"):
                 ts.next()
                 ts.expect("arrow")
                 arrow = True
             types = TypeSystem(tuple(names), arrow)
-        elif tok.text == "operators":
+        elif word == "operators":
             if in_operators:
-                raise ParseError("duplicate operators section", tok.line, tok.col)
+                raise ts.error("duplicate operators section", offset)
             in_operators = True
-        elif tok.text == "op":
+        elif word == "op":
             decl = _parse_op_decl(ts)
             if in_operators:
                 if decl.params:
-                    raise ParseError(
-                        f"operator label {decl.name} cannot take parameters",
-                        tok.line,
-                        tok.col,
-                    )
+                    raise ts.error(f"operator label {decl.name} cannot take parameters", offset)
                 if any(inp.bound for inp in decl.inputs):
-                    raise ParseError(
-                        f"operator label {decl.name} cannot bind variables",
-                        tok.line,
-                        tok.col,
-                    )
+                    raise ts.error(f"operator label {decl.name} cannot bind variables", offset)
                 operators.append(decl)
             else:
                 schemas.append(decl)
         else:
-            raise ParseError(
-                f"expected 'sorts', 'op' or 'operators', found {tok.text!r}", tok.line, tok.col
-            )
+            raise ts.error(f"expected 'sorts', 'op' or 'operators', found {word!r}", offset)
     sig = make_signature(types if types is not None else UNTYPED, schemas)
     seen = {s.name for s in schemas}
     for decl in operators:

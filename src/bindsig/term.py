@@ -21,7 +21,6 @@ from .errors import (
     ArityMismatch,
     BindsigError,
     IllFormed,
-    ParseError,
     ScopeError,
     SortMismatch,
     Unbounded,
@@ -36,7 +35,6 @@ from .sigdef import (
     check_sort,
     print_sort,
     sorts_up_to_depth,
-    tokenize,
 )
 
 __all__ = [
@@ -478,13 +476,13 @@ def lambek_compose(case: Union[VarCase, OpCase]) -> Term:
 
 def _read_param(ts: TokenStream, refs: dict | None):
     """A natural, a name bound in ``refs``, or a sort."""
-    tok = ts.peek()
-    if tok.kind == "nat":
+    kind, text, _ = ts.peek()
+    if kind == "nat":
         ts.next()
-        return int(tok.text)
-    if refs and tok.text in refs:
+        return int(text)
+    if refs and text in refs:
         ts.next()
-        return refs[tok.text]
+        return refs[text]
     return _parse_sort_expr(ts)
 
 
@@ -502,29 +500,29 @@ def _read_term(ts: TokenStream, refs: dict | None = None, placeholder=None):
             value = Op(name, params, tuple(args))
         else:
             ts.expect("(")
-            head = ts.next()
-            if head.text == "op":
-                name = ts.expect_kind("ident").text
+            _, head, offset = ts.next()
+            if head == "op":
+                name = ts.expect_kind("ident")
                 params = ()
                 if ts.at("<"):
                     ts.next()
                     params = tuple(ts.delimited(lambda: _read_param(ts, refs), ">"))
                 frames.append((name, params, []))
                 continue
-            if head.text == "var" or (head.text == "ph" and placeholder is not None):
-                index = int(ts.expect_kind("nat").text)
+            if head == "var" or (head == "ph" and placeholder is not None):
+                index = int(ts.expect_kind("nat"))
                 ts.expect(")")
-                value = Var(index) if head.text == "var" else placeholder(index)
+                value = Var(index) if head == "var" else placeholder(index)
             else:
                 expected = "'op', 'var' or 'ph'" if placeholder is not None else "'var' or 'op'"
-                raise ParseError(f"expected {expected}, found {head.text!r}", head.line, head.col)
+                raise ts.error(f"expected {expected}, found {head!r}", offset)
         if not frames:
             return value
         frames[-1][2].append(value)
 
 
 def parse_term(text: str) -> Term:
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     t = _read_term(ts)
     ts.expect_eof()
     return t
@@ -564,7 +562,7 @@ def parse_context(types: TypeSystem, text: str) -> Context:
         if n == 0:
             return ()
         return (types.single_sort(),) * n
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     entries = ts.form("ctx", lambda: _parse_sort_expr(ts))
     ts.expect_eof()
     return check_context(types, entries)

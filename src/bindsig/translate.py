@@ -34,7 +34,6 @@ from .sigdef import (
     builtin,
     print_sort,
     sorts_up_to_depth,
-    tokenize,
 )
 from .term import Context, Op, Term, Var, _read_term, _walk
 
@@ -314,25 +313,24 @@ def parse_table(text: str) -> TranslationTable:
     <src> and <tgt> are builtin signature names or signature file paths.
     Without an arrow policy the morphism is the identity on base names.
     """
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     ts.expect("translate")
-    src_name = ts.expect_kind("ident").text
+    src_name = ts.expect_kind("ident")
     ts.expect("->")
-    tgt_name = ts.expect_kind("ident").text
+    tgt_name = ts.expect_kind("ident")
     source = _load_signature(src_name)
     target = _load_signature(tgt_name)
     base_map: dict[str, Sort] = {}
     mode = None
     while True:
-        tok = ts.peek()
-        if tok.text == "erase":
+        if ts.at("erase"):
             ts.next()
             ts.expect("-")
             ts.expect("types")
             mode = "collapse"
-        elif tok.text == "map":
+        elif ts.at("map"):
             ts.next()
-            base = ts.expect_kind("ident").text
+            base = ts.expect_kind("ident")
             ts.expect("=>")
             base_map[base] = _parse_sort_expr(ts)
             mode = mode or "homomorphic"
@@ -349,14 +347,14 @@ def parse_table(text: str) -> TranslationTable:
             )
         morphism = TypeMorphism.identity(source.types)
     clauses: dict[str, Template] = {}
-    while ts.peek().kind != "eof":
+    while not ts.at_eof():
         ts.expect("clause")
-        op_name = ts.expect_kind("ident").text
+        op_name = ts.expect_kind("ident")
         schema = source.schema(op_name)
         refs: dict[str, ParamRef] = {}
         if ts.at("<"):
             ts.next()
-            names = ts.delimited(lambda: ts.expect_kind("ident").text, ">")
+            names = ts.delimited(lambda: ts.expect_kind("ident"), ">")
             if len(names) != len(schema.params):
                 raise ParseError(
                     f"clause for {op_name} binds {len(names)} parameter(s), "

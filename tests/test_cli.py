@@ -211,6 +211,21 @@ def test_translate_table_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "(op abs (var 1))"
 
 
+def test_translate_clause_ill_sorted_at_instantiation(tmp_path, capsys):
+    # app<iota,t> checks at the spot instantiation s = iota, not at s = arrow(iota,iota)
+    f = tmp_path / "bad.tbl"
+    f.write_text(
+        "translate stlc -> stlc\n"
+        "clause app<s,t> = (op app<iota,t> (ph 0) (ph 1))\n"
+        "clause abs<s,t> = (op abs<s,t> (ph 0))\n"
+    )
+    ctx = "(ctx arrow(arrow(iota,iota),iota) arrow(iota,iota))"
+    term = "(op app<arrow(iota,iota),iota> (var 0) (var 1))"
+    code, out, err = run(capsys, "translate", "--table", str(f), "--ctx", ctx, term)
+    assert code == 1 and out == ""
+    assert err.startswith("SortMismatch: ") and err.count("\n") == 1
+
+
 def test_fv_example(capsys):
     code, out, _ = run(capsys, "fv", "--ctx", "2", "(op app (var 0) (op abs (var 1)))")
     assert code == 0 and out.strip() == "{0}"

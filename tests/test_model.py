@@ -133,6 +133,8 @@ def test_fv_substitution_identity(ulc):
             SortMismatch,
         ),
         ("ulc", (STAR,), Op("abs", (), (Op("app", (), (Var(0),)),)), ArityMismatch),
+        # a root variable reaches var_op alone
+        ("ulc", (), Var(3), ScopeError),
     ],
 )
 def test_term_model_fold_rejects_ill_formed_terms_like_sort_of(sig_name, ctx, term, cause):

@@ -9,11 +9,16 @@ from bindsig import (
     SortRef,
     TypeSystem,
     UNTYPED,
+    Var,
     builtin,
     instantiate,
     make_signature,
+    mk_op,
+    parse_context,
     parse_signature,
     parse_sort,
+    parse_table,
+    parse_term,
     print_signature,
     print_sort,
     sum_signatures,
@@ -28,6 +33,7 @@ from bindsig.errors import (
     UnknownBuiltin,
 )
 from bindsig.sigdef import normalize
+from bindsig.term import check_context
 
 STAR = BaseSort("*")
 IOTA = BaseSort("iota")
@@ -72,6 +78,14 @@ def test_unknown_base_sort_rejected():
 def test_arrow_without_arrow_enabled_rejected():
     with pytest.raises(MalformedSort):
         make_signature(UNTYPED, [schema("c", [((), ArrowSort(STAR, STAR))])])
+
+
+def test_parameter_reference_is_not_a_sort(stlc):
+    with pytest.raises(MalformedSort):
+        check_context(stlc.types, (SortRef(0),))
+    # a parameter that contains a reference would give the node an unprintable sort
+    with pytest.raises(MalformedSort):
+        mk_op(stlc, (IOTA,), "abs", (ArrowSort(SortRef(0), IOTA), IOTA), (Var(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +228,56 @@ def test_print_parse_roundtrip_builtins(name):
     assert parse_signature(print_signature(sig, name)) == sig
 
 
-def test_parse_syntax_error_has_position():
+STLC_TYPES = TypeSystem(("iota",), arrow_enabled=True)
+
+
+# Lines and columns are 1-based, a tab is one column, only "\n" breaks a
+# line, and an end-of-input error points just past the last character.  A
+# character no token starts with is reported before any grammar error.
+@pytest.mark.parametrize(
+    "parse, text, line, col, message",
+    [
+        pytest.param(parse_term, "(op app (var 0)", 1, 16,
+                     "expected ')', found 'end of input'", id="term-end-of-input"),
+        pytest.param(parse_term, "(op app\t(var 0) (vr 1))", 1, 18,
+                     "expected 'var' or 'op', found 'vr'", id="term-tab"),
+        pytest.param(parse_term, "# comment\r\n(op abs\r\n  (var x))", 3, 8,
+                     "expected nat, found 'x'", id="term-comment-crlf"),
+        pytest.param(parse_term, "(op app (op) @)", 1, 14,
+                     "unexpected character '@'", id="term-bad-character-after-grammar-error"),
+        pytest.param(parse_term, "(op abs\n", 2, 1,
+                     "expected ')', found 'end of input'", id="term-end-of-input-after-newline"),
+        pytest.param(parse_sort, "arrow(iota,\tnat", 1, 16,
+                     "expected ')', found 'end of input'", id="sort-end-of-input"),
+        pytest.param(parse_sort, "arrow(iota iota)", 1, 12,
+                     "expected ',', found 'iota'", id="sort-missing-comma"),
+        pytest.param(lambda text: parse_context(STLC_TYPES, text), "(ctx iota\r\n arrow(iota,))",
+                     2, 13, "expected a sort, found ')'", id="context-crlf"),
+        pytest.param(lambda text: parse_context(STLC_TYPES, text), "(ctx iota", 1, 10,
+                     "expected a sort, found 'end of input'", id="context-end-of-input"),
+        pytest.param(parse_signature, "signature bad\nop app : (* -> *\n", 2, 13,
+                     "expected ')', found '->'", id="signature-unclosed-inputs"),
+        pytest.param(parse_signature, "signature s\nop f : (*, ) -> *\nop g : () -> * $\n", 3, 16,
+                     "unexpected character '$'", id="signature-bad-character-after-grammar-error"),
+        pytest.param(parse_signature, "signature s\nop f : (*) -> # no output\n", 3, 1,
+                     "expected a sort, found 'end of input'", id="signature-end-of-input"),
+        pytest.param(parse_signature,
+                     "signature s # c\n\top f : () -> *\noperators\r\n\top g<n: nat> : () -> *\n",
+                     4, 2, "operator label g cannot take parameters", id="signature-label-keyword"),
+        pytest.param(parse_table,
+                     "translate stlc -> ulc erase-types\r\nclause app<s,t> = (op app (ph 0) (ph 1)\n",
+                     3, 1, "expected ')', found 'end of input'", id="table-end-of-input"),
+        pytest.param(parse_table, "translate ulc -> ulc\n\tclause abs = (op abs (pp 0))\n", 2, 24,
+                     "expected 'op', 'var' or 'ph', found 'pp'", id="table-tab"),
+        pytest.param(parse_table, "translate ulc -> ulc\nclause abs = (op abs (ph 0)) # é\né", 3, 1,
+                     "unexpected character 'é'", id="table-bad-character-after-comment"),
+    ],
+)
+def test_parse_syntax_error_has_position(parse, text, line, col, message):
     with pytest.raises(ParseError) as exc:
-        parse_signature("signature bad\nop app : (* -> *\n")
-    assert exc.value.line == 2
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{line}:{col}: {message}"
 
 
 def test_parse_rejects_sorts_after_op():
