@@ -29,6 +29,8 @@ from .term import (
     Var,
     _check_args,
     _infer,
+    _loose_bound,
+    _scope_context,
     _scope_lookup,
     _walk,
     chain_count,
@@ -104,12 +106,30 @@ def term_model(sig: Signature) -> ModelSpec:
     its entry in the argument's context, and an operator argument's is its
     arity's output, because the model checked it when it built it over
     that context.  The model remembers its latest unused nodes for this,
-    by weak reference; an operator argument it did not build, or built
-    over another context, is checked in full.  A fold into the term model
-    is therefore linear.
+    by weak reference.  An operator argument it did not build is checked
+    down to the subterms it built over the same context, or built closed
+    over any context: a label output of :func:`bindsig.freemodel.free_extend`
+    costs the check of its interpretation's skeleton.  A fold into the term
+    model is therefore linear.
     """
     arity_of = sig.arity
     built: dict = {}  # id -> (weak reference, context) of nodes built and not yet used
+
+    def built_sort(hit, v, ctx):
+        # The model checked v over hit's context when it built it; a closed
+        # term has the same sort over any context.
+        if hit is None or hit[0]() is not v:
+            return None
+        if hit[1] is ctx or hit[1] == ctx or _loose_bound(v) <= 0:
+            return arity_of(v.name, v.params).output
+        return None
+
+    def known(scope, v):
+        if type(v) is Op:
+            hit = built.get(id(v))
+            if hit is not None:
+                return built_sort(hit, v, _scope_context(scope))
+        return None
 
     def var_op(ctx, i):
         if 0 <= i < len(ctx):
@@ -130,11 +150,8 @@ def term_model(sig: Signature) -> ModelSpec:
             if type(v) is Var:
                 found.append(_scope_lookup((c, None, len(c)), v.index))
                 continue
-            hit = built.pop(id(v), None)
-            if hit is not None and hit[0]() is v and (hit[1] is c or hit[1] == c):
-                found.append(arity_of(v.name, v.params).output)
-            else:
-                found.append(_infer(sig, c, v))
+            sort = built_sort(built.pop(id(v), None), v, c)
+            found.append(sort if sort is not None else _infer(sig, c, v, known))
         _check_args(None, t, arity, found)
         if len(built) >= _TRUSTED:
             built.clear()  # forgotten nodes are only checked again

@@ -81,15 +81,33 @@ class TypeSystem:
         return BaseSort(self.base_sorts[0])
 
 
+# Sorts hash once, at construction: signature lookups and sort-parameterised
+# operators hash them on every use.
+
+
 @dataclass(frozen=True, slots=True)
 class BaseSort:
     name: str
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
 class ArrowSort:
     domain: "Sort"
     codomain: "Sort"
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.domain, self.codomain)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,16 +12,25 @@ whose environment is the number of binders crossed; a variable applies the
 lift by that number when it is reached, so deep binder nesting costs no
 lifted copies of the assignment.  :func:`lift_assignment` and
 :func:`lift_renaming` build the same lifts as values.
+
+A subterm whose variables are all bound by the binders crossed above it
+is its own image, so ``rename``, ``weaken`` and ``subst`` return it as it
+is: a closed term comes back itself, and such an argument is shared by the
+result, not rebuilt.  The test is each node's bound on its loose indices
+(:mod:`bindsig.term`).  A subterm returned this way is not walked, and so
+not validated either: input well-formedness is the caller's job
+(:func:`bindsig.term.sort_of`, :func:`bindsig.term.mk_op`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Sequence
 
 from .errors import ContextMismatch, ScopeError, SortMismatch
 from .sigdef import Signature, Sort, print_sort
-from .term import Context, Op, Term, Var, _walk, sort_of
+from .term import Context, Op, Term, Var, _loose_bound, _walk, sort_of
 
 __all__ = [
     "Renaming",
@@ -114,6 +123,9 @@ def lift_renaming(ren: Renaming, bound: tuple[Sort, ...]) -> Renaming:
 
 
 def _rebuild(env, t: Op, arity, args) -> Term:
+    # A walk enters only nodes with a variable, so t has an argument.
+    if args[0] is t.args[0] and all(map(is_, args, t.args)):
+        return t
     return Op(t.name, t.params, tuple(args))
 
 
@@ -121,13 +133,22 @@ def _under(k: int, bound) -> int:
     return k + len(bound)
 
 
+def _untouched(k: int, t: Term):
+    # Under k binders, a lift fixes every index below k: a subterm whose
+    # variables are all below k is its own image.
+    return t if t._bound <= k else None
+
+
 def _rename(sig: Signature, t: Term, mapping) -> Term:
     # The environment is the number k of binders crossed: the lift by k
-    # fixes i < k and sends i >= k to mapping[i - k] + k.
-    def var(k, i):
-        return Var(i if i < k else mapping[i - k] + k)
+    # fixes i < k (untouched variables) and sends i >= k to mapping[i - k] + k.
+    if _loose_bound(t) <= 0:
+        return t
 
-    return _walk(sig, t, 0, var, _rebuild, _under)
+    def var(k, i):
+        return Var(mapping[i - k] + k)
+
+    return _walk(sig, t, 0, var, _rebuild, _under, _untouched)
 
 
 def rename(sig: Signature, t: Term, ren: Renaming) -> Term:
@@ -164,16 +185,16 @@ def lift_assignment(sig: Signature, a: Assignment, bound: Sequence[Sort]) -> Ass
 
 def subst(sig: Signature, t: Term, a: Assignment) -> Term:
     """Capture-avoiding simultaneous substitution of ``a`` into ``t``."""
+    if _loose_bound(t) <= 0:
+        return t
     images = a.images
     m = len(a.target)
     weakened: dict = {}  # (position, k) -> its image weakened by k
 
     # The environment is the number k of binders crossed.  The lift of
-    # ``a`` by k fixes i < k and sends i >= k to the image of i - k
-    # weakened by k, made once per call and depth.
+    # ``a`` by k fixes i < k (untouched variables) and sends i >= k to the
+    # image of i - k weakened by k, made once per call and depth.
     def var(k, i):
-        if i < k:
-            return Var(i)
         if not k:
             return images[i]
         key = (i - k, k)
@@ -182,7 +203,7 @@ def subst(sig: Signature, t: Term, a: Assignment) -> Term:
             hit = weakened[key] = _rename(sig, images[i - k], range(k, k + m))
         return hit
 
-    return _walk(sig, t, 0, var, _rebuild, _under)
+    return _walk(sig, t, 0, var, _rebuild, _under, _untouched)
 
 
 def subst1(sig: Signature, ctx, sort: Sort, t: Term, u: Term) -> Term:

@@ -7,12 +7,17 @@ well-formedness is a judgment checked against a signature, a context and
 an expected sort, which keeps structural sharing and equality cheap.
 
 ``Var`` and ``Op`` are hand-rolled slotted classes with precomputed
-hashes: the law suites compare and hash millions of terms.  Instances
-are immutable by contract; nothing in the library mutates them.
+hashes: the law suites compare and hash millions of terms.  Each node
+also carries a bound on its loose indices, 1 + the largest variable
+index occurring in it (0 when there is none), so that substitution can
+return untouched subterms as they are; an operator computes its bound on
+first use and keeps it.  Instances are immutable by contract; nothing in
+the library mutates them beyond filling in that bound.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence, Union
@@ -72,12 +77,13 @@ class Term:
 
 
 class Var(Term):
-    __slots__ = ("index", "_hash")
+    __slots__ = ("index", "_hash", "_bound")
     __match_args__ = ("index",)
 
     def __init__(self, index: int):
         self.index = index
         self._hash = hash((Var, index))
+        self._bound = index + 1
 
     def __eq__(self, other):
         if self is other:
@@ -91,9 +97,14 @@ class Var(Term):
         return f"Var({self.index})"
 
 
+# An operator's bound before its first use: larger than any number of
+# binders, so a walk that reads it unset enters the node.
+_UNSET = sys.maxsize
+
+
 class Op(Term):
     # Weak references let the term model remember the nodes it has checked.
-    __slots__ = ("name", "params", "args", "_hash", "__weakref__")
+    __slots__ = ("name", "params", "args", "_hash", "_bound", "__weakref__")
     __match_args__ = ("name", "params", "args")
 
     def __init__(self, name: str, params: tuple = (), args: tuple = ()):
@@ -101,6 +112,7 @@ class Op(Term):
         self.params = params
         self.args = args
         self._hash = hash((Op, name, params, args))
+        self._bound = _UNSET
 
     def __eq__(self, other):
         if self is other:
@@ -185,24 +197,61 @@ def mk_op(
     return t, _infer(sig, tuple(ctx), t)
 
 
-def _walk(sig: Signature, t: Term, env, var, node, under):
+def _loose_bound(t: Term) -> int:
+    """1 + the largest variable index occurring in ``t``, 0 if none.
+
+    It bounds the loose indices of ``t`` without a signature, and is exact
+    on binder-free terms.  An operator without a bound gets one here, as
+    does every node below it still without one, on an explicit stack.
+    """
+    try:
+        bound = t._bound  # template placeholders carry 0
+    except AttributeError:
+        raise IllFormed(f"not a term: {t!r}") from None
+    if bound != _UNSET:
+        return bound
+    stack = [t]
+    while stack:
+        x = stack[-1]
+        if x._bound != _UNSET:
+            stack.pop()
+            continue
+        bound, pending = 0, False
+        for a in x.args:
+            b = getattr(a, "_bound", None)
+            if b is None:
+                raise IllFormed(f"not a term: {a!r}")
+            if b == _UNSET:
+                stack.append(a)
+                pending = True
+            elif b > bound:
+                bound = b
+        if not pending:
+            x._bound = bound
+            stack.pop()
+    return t._bound
+
+
+def _walk(sig: Signature, t: Term, env, var, node, under, known=None):
     """Post-order traversal of ``t``: the one recursion principle.
 
     ``var(env, i)`` gives the value of variable i; ``node(env, t, arity,
     vals)`` combines the operator ``t`` with its arguments' values, in
     argument order; ``under(env, bound)`` gives the environment of an
-    argument that binds ``bound``.  The walk keeps one frame per operator
-    node on an explicit stack, so terms may be deeper than the Python stack;
-    variable arguments are evaluated in place.
+    argument that binds ``bound``.  ``known(env, arg)``, when given, is
+    asked first for each argument: a result other than None is the
+    argument's value, and the walk does not enter it.  The walk keeps one
+    frame per operator node on an explicit stack, so terms may be deeper
+    than the Python stack; variable arguments are evaluated in place.
     """
     if type(t) is Var:
         return var(env, t.index)
-    arity_of = sig.arity
+    cache = sig._cache  # read Signature.arity's memo in place: one call fewer per node
     frames = []  # (node, env, arity, values so far, next argument) per open node
     while True:
         if type(t) is not Op:
             raise IllFormed(f"not a term: {t!r}")
-        arity = arity_of(t.name, t.params)
+        arity = cache.get(("arity", t.name, t.params)) or sig.arity(t.name, t.params)
         inputs, args = arity.inputs, t.args
         n = len(args)
         if n != len(inputs):
@@ -214,6 +263,11 @@ def _walk(sig: Signature, t: Term, env, var, node, under):
                 arg, bound = args[j], inputs[j].bound
                 j += 1
                 arg_env = under(env, bound) if bound else env
+                if known is not None:
+                    value = known(arg_env, arg)
+                    if value is not None:
+                        vals.append(value)
+                        continue
                 if type(arg) is Var:
                     vals.append(var(arg_env, arg.index))
                     continue
@@ -259,8 +313,19 @@ def _scope_bind(scope, bound):
     return bound, scope, scope[2] + len(bound)
 
 
-def _infer(sig: Signature, ctx: Context, t: Term) -> Sort:
-    return _walk(sig, t, (ctx, None, len(ctx)), _scope_lookup, _check_args, _scope_bind)
+def _scope_context(scope) -> Context:
+    """The context a scope stands for: its binder groups, innermost first."""
+    if scope[1] is None:
+        return scope[0]
+    groups = []
+    while scope is not None:
+        groups.append(scope[0])
+        scope = scope[1]
+    return tuple(s for group in groups for s in group)
+
+
+def _infer(sig: Signature, ctx: Context, t: Term, known=None) -> Sort:
+    return _walk(sig, t, (ctx, None, len(ctx)), _scope_lookup, _check_args, _scope_bind, known)
 
 
 def sort_of(sig: Signature, ctx: Sequence[Sort], t: Term) -> Sort:

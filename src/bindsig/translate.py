@@ -16,7 +16,6 @@ from typing import Mapping, Sequence, Union
 from .errors import (
     MissingClause,
     OffsetMismatch,
-    ParseError,
     ScopeError,
     SortMismatch,
     TypeSystemMismatch,
@@ -103,6 +102,7 @@ class Placeholder:
 
     __slots__ = ("index", "_hash")
     __match_args__ = ("index",)
+    _bound = 0  # no variable: the bound on loose indices that terms carry
 
     def __init__(self, index: int):
         self.index = index
@@ -349,6 +349,7 @@ def parse_table(text: str) -> TranslationTable:
     clauses: dict[str, Template] = {}
     while not ts.at_eof():
         ts.expect("clause")
+        name_offset = ts.peek()[2]
         op_name = ts.expect_kind("ident")
         schema = source.schema(op_name)
         refs: dict[str, ParamRef] = {}
@@ -356,13 +357,14 @@ def parse_table(text: str) -> TranslationTable:
             ts.next()
             names = ts.delimited(lambda: ts.expect_kind("ident"), ">")
             if len(names) != len(schema.params):
-                raise ParseError(
+                raise ts.error(
                     f"clause for {op_name} binds {len(names)} parameter(s), "
-                    f"schema has {len(schema.params)}"
+                    f"schema has {len(schema.params)}",
+                    name_offset,
                 )
             refs = {n: ParamRef(i) for i, n in enumerate(names)}
         ts.expect("=")
         if op_name in clauses:
-            raise ParseError(f"duplicate clause for {op_name}")
+            raise ts.error(f"duplicate clause for {op_name}", name_offset)
         clauses[op_name] = _read_term(ts, refs, Placeholder)
     return make_table(source, target, morphism, clauses)

@@ -33,6 +33,7 @@ from bindsig import (
     weaken,
 )
 from bindsig.cli import main
+from bindsig.errors import ScopeError
 
 N = 100_000
 STAR = BaseSort("*")
@@ -122,6 +123,39 @@ def test_deep_folds():
     for _ in range(N // 2):
         unwrapped = Op("succ", (), (unwrapped,))
     assert free_extend(term_model(nat), nat, family, {"wrap": Var(0)}, CTX, labelled) == unwrapped
+
+
+def alternating(depth, leaf):
+    """ulc with a ``wrap`` label: ``app (wrap <chain>) (var 0)``, depth pairs."""
+    t = leaf
+    for _ in range(depth):
+        t = Op("app", (), (Op("wrap", (), (t,)), Var(0)))
+    return t
+
+
+WRAP = Op("app", (), (Var(0), Op("abs", (), (Var(0),))))
+
+
+def test_free_extend_checks_label_outputs_once():
+    # Each label output sits under a base constructor, so the term model
+    # checks it; the check stops at the subterms the model built.
+    ulc = builtin("ulc")
+    family = OperatorFamily.untyped(ulc, {"wrap": 1})
+    depth = 10_000
+    expected = Var(0)
+    for _ in range(depth):
+        expected = Op("app", (), (Op("app", (), (expected, Op("abs", (), (Var(0),)))), Var(0)))
+    t = alternating(depth, Var(0))
+    assert free_extend(term_model(ulc), ulc, family, {"wrap": WRAP}, CTX, t) == expected
+
+
+def test_free_extend_still_checks_the_interpretation_under_a_base_constructor():
+    ulc = builtin("ulc")
+    family = OperatorFamily.untyped(ulc, {"wrap": 1})
+    # The negative index passes through substitution unchanged.
+    ill_scoped = Op("app", (), (Var(0), Var(-1)))
+    with pytest.raises(ScopeError):
+        free_extend(term_model(ulc), ulc, family, {"wrap": ill_scoped}, CTX, alternating(3, Var(0)))
 
 
 def test_deep_translation():

@@ -271,6 +271,13 @@ STLC_TYPES = TypeSystem(("iota",), arrow_enabled=True)
                      "expected 'op', 'var' or 'ph', found 'pp'", id="table-tab"),
         pytest.param(parse_table, "translate ulc -> ulc\nclause abs = (op abs (ph 0)) # é\né", 3, 1,
                      "unexpected character 'é'", id="table-bad-character-after-comment"),
+        pytest.param(parse_table,
+                     "translate stlc -> ulc erase-types\n  clause app<s> = (op app (ph 0) (ph 1))\n",
+                     2, 10, "clause for app binds 1 parameter(s), schema has 2",
+                     id="table-clause-parameter-count"),
+        pytest.param(parse_table,
+                     "translate ulc -> ulc\nclause abs = (op abs (ph 0))\n\tclause abs = (op abs (ph 0))\n",
+                     3, 9, "duplicate clause for abs", id="table-duplicate-clause"),
     ],
 )
 def test_parse_syntax_error_has_position(parse, text, line, col, message):

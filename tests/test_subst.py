@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from bindsig import (
+    ArrowSort,
     Assignment,
     BaseSort,
     Op,
@@ -10,6 +11,7 @@ from bindsig import (
     Var,
     XorShift64Star,
     assignment_of_renaming,
+    builtin,
     enumerate_terms,
     id_assignment,
     kleisli_compose,
@@ -23,7 +25,7 @@ from bindsig import (
     subst1,
     weaken,
 )
-from bindsig.errors import ContextMismatch, ScopeError, SortMismatch
+from bindsig.errors import ContextMismatch, IllFormed, ScopeError, SortMismatch
 from bindsig.subst import identity_renaming
 
 from oracles import mirror_rename, mirror_subst
@@ -369,3 +371,103 @@ def test_make_assignment_validates(ulc, stlc):
     typed_lam, _ = mk_op(stlc, (), "abs", (IOTA, IOTA), (Var(0),))
     with pytest.raises(SortMismatch):
         make_assignment(stlc, (IOTA,), (), (typed_lam,))
+
+
+# ---------------------------------------------------------------------------
+# Sharing: a subterm whose variables are all bound inside the walk is its
+# own image, and comes back as the same object
+
+
+def subterm_ids(t):
+    ids, stack = set(), [t]
+    while stack:
+        x = stack.pop()
+        ids.add(id(x))
+        if type(x) is Op:
+            stack.extend(x.args)
+    return ids
+
+
+def test_closed_term_comes_back_itself(ulc, fol):
+    no_vars = Op("and", (), (Op("top"), Op("neg", (), (Op("bot"),))))
+    sigma = Assignment((STAR,), (STAR, STAR), (Var(1),))
+    assert subst(fol, no_vars, sigma) is no_vars
+    assert rename(fol, no_vars, Renaming((STAR,), (STAR, STAR), (1,))) is no_vars
+    assert weaken(fol, (STAR,), no_vars, (STAR,)) is no_vars
+    # Variables bound inside the term: closed, though it has variables.
+    closed = Op("app", (), (LAM0, Op("abs", (), (Op("app", (), (Var(0), LAM0)),))))
+    assert subst(ulc, closed, Assignment((), (STAR,), ())) is closed
+    assert rename(ulc, closed, Renaming((), (STAR,), ())) is closed
+    assert weaken(ulc, (), closed, (STAR, STAR)) is closed
+
+
+def test_untouched_arguments_are_shared(ulc, fol):
+    top = Op("top")
+    t = Op("and", (), (top, Op("neg", (), (Var(0),))))
+    out = subst(fol, t, Assignment((STAR,), (STAR,), (Op("bot"),)))
+    assert out == Op("and", (), (top, Op("neg", (), (Op("bot"),))))
+    assert out.args[0] is top
+
+    # Under abs, app (var 0) (var 0) mentions only the bound variable.
+    body = Op("app", (), (Var(0), Var(0)))
+    t = Op("abs", (), (Op("app", (), (body, Var(1))),))
+    image = Op("app", (), (Var(0), Var(1)))
+    out = subst(ulc, t, Assignment((STAR,), (STAR, STAR), (image,)))
+    assert out == Op("abs", (), (Op("app", (), (body, Op("app", (), (Var(1), Var(2))))),))
+    assert out.args[0].args[0] is body
+    renamed = rename(ulc, t, Renaming((STAR,), (STAR, STAR), (1,)))
+    assert renamed == Op("abs", (), (Op("app", (), (body, Var(2))),))
+    assert renamed.args[0].args[0] is body
+    assert weaken(ulc, (STAR,), t, (STAR,)).args[0].args[0] is body
+
+
+def _random_cases(sig, sorts, max_sort_depth, rng, count):
+    """Terms over contexts of 0-3 entries with images and a renaming:
+    small contexts give closed and locally closed subterms."""
+    for _ in range(count):
+        src = tuple(sorts[rng.below(len(sorts))] for _ in range(rng.below(4)))
+        dst = tuple(sorts[rng.below(len(sorts))] for _ in range(rng.below(3))) + src
+        sort = sorts[rng.below(len(sorts))]
+        try:
+            t = random_term(sig, src, sort, 5, rng, max_sort_depth)
+            images = tuple(random_term(sig, dst, s, 3, rng, max_sort_depth) for s in src)
+        except ValueError:  # an empty cell
+            continue
+        # Renaming into dst: src sits at its end.
+        mapping = tuple(range(len(dst) - len(src), len(dst)))
+        yield src, dst, t, images, mapping
+
+
+@pytest.mark.parametrize(
+    "name, sorts, max_sort_depth",
+    [
+        ("ulc", (STAR,), None),
+        ("fol", (STAR,), None),
+        ("stlc", (IOTA, ArrowSort(IOTA, IOTA)), 1),
+    ],
+)
+def test_sharing_agrees_with_nameful_mirror(name, sorts, max_sort_depth):
+    sig = builtin(name)
+    rng = XorShift64Star(20261018)
+    cases = shared = 0
+    for src, dst, t, images, mapping in _random_cases(sig, sorts, max_sort_depth, rng, 400):
+        out = subst(sig, t, Assignment(src, dst, images))
+        assert out == mirror_subst(sig, src, dst, t, images)
+        assert sort_of(sig, dst, out) == sort_of(sig, src, t)
+        renamed = rename(sig, t, Renaming(src, dst, mapping))
+        assert renamed == mirror_rename(sig, src, dst, t, mapping)
+        assert weaken(sig, src, t, dst[: len(dst) - len(src)]) == renamed
+        cases += 1
+        shared += bool(subterm_ids(t) & (subterm_ids(out) | subterm_ids(renamed)))
+    assert cases >= 250
+    assert shared >= cases // 4  # the sample does exercise sharing
+
+
+def test_non_term_argument_is_ill_formed_not_attribute_error(ulc):
+    bad = Op("app", (), (1, Var(0)))
+    with pytest.raises(IllFormed):
+        sort_of(ulc, (STAR,), bad)
+    with pytest.raises(IllFormed):
+        subst(ulc, Op("abs", (), (bad,)), Assignment((STAR,), (STAR,), (Var(0),)))
+    with pytest.raises(IllFormed):
+        rename(ulc, bad, identity_renaming((STAR,)))
