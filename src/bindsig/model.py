@@ -13,12 +13,11 @@ never throw on a failed law.
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import ArityMismatch, TypedSignature
+from .errors import TypedSignature
 from .rng import XorShift64Star
 from .sigdef import BaseSort, Signature, sorts_up_to_depth
 from .subst import Assignment, Renaming, rename, subst
@@ -27,15 +26,11 @@ from .term import (
     Op,
     Term,
     Var,
-    _check_args,
-    _infer,
-    _loose_bound,
-    _scope_context,
-    _scope_lookup,
     _walk,
     chain_count,
     ctx_extend,
     enumerate_terms,
+    mk_op,
     mk_var,
     print_context,
     print_term,
@@ -92,44 +87,17 @@ def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
     return _walk(sig, t, tuple(ctx), model.var_op, node, ctx_extend)
 
 
-# At most this many built and not yet used nodes are remembered as checked.
-_TRUSTED = 1024
-
-
 def term_model(sig: Signature) -> ModelSpec:
     """The initial model: terms, with checked construction and subst as the
     structure.
 
-    ``var_op`` raises what :func:`mk_var` raises.  ``op_interp`` builds one
-    node and checks it against its arguments' sorts, raising what
-    :func:`mk_op` raises: a variable argument's sort is
-    its entry in the argument's context, and an operator argument's is its
-    arity's output, because the model checked it when it built it over
-    that context.  The model remembers its latest unused nodes for this,
-    by weak reference.  An operator argument it did not build is checked
-    down to the subterms it built over the same context, or built closed
-    over any context: a label output of :func:`bindsig.freemodel.free_extend`
-    costs the check of its interpretation's skeleton.  A fold into the term
-    model is therefore linear.
+    ``var_op`` is :func:`mk_var`, ``op_interp`` is :func:`mk_op` and
+    ``msubst`` is :func:`subst`.  ``mk_op`` checks only the node it makes
+    against its arguments' certificates, so a fold into the term model is
+    linear, and an argument without one (a substitution result, a label
+    output of :func:`bindsig.freemodel.free_extend`) is checked down to
+    its certified subterms.
     """
-    arity_of = sig.arity
-    built: dict = {}  # id -> (weak reference, context) of nodes built and not yet used
-
-    def built_sort(hit, v, ctx):
-        # The model checked v over hit's context when it built it; a closed
-        # term has the same sort over any context.
-        if hit is None or hit[0]() is not v:
-            return None
-        if hit[1] is ctx or hit[1] == ctx or _loose_bound(v) <= 0:
-            return arity_of(v.name, v.params).output
-        return None
-
-    def known(scope, v):
-        if type(v) is Op:
-            hit = built.get(id(v))
-            if hit is not None:
-                return built_sort(hit, v, _scope_context(scope))
-        return None
 
     def var_op(ctx, i):
         if 0 <= i < len(ctx):
@@ -137,26 +105,7 @@ def term_model(sig: Signature) -> ModelSpec:
         return mk_var(ctx, i)[0]  # raises ScopeError
 
     def op_interp(ctx, name, params, vals):
-        ctx = tuple(ctx)
-        t = Op(name, tuple(params), tuple(vals))
-        arity = arity_of(name, t.params)
-        if len(t.args) != len(arity.inputs):
-            raise ArityMismatch(
-                f"{name} expects {len(arity.inputs)} argument(s), got {len(t.args)}"
-            )
-        found = []
-        for inp, v in zip(arity.inputs, t.args):
-            c = inp.bound + ctx if inp.bound else ctx
-            if type(v) is Var:
-                found.append(_scope_lookup((c, None, len(c)), v.index))
-                continue
-            sort = built_sort(built.pop(id(v), None), v, c)
-            found.append(sort if sort is not None else _infer(sig, c, v, known))
-        _check_args(None, t, arity, found)
-        if len(built) >= _TRUSTED:
-            built.clear()  # forgotten nodes are only checked again
-        built[id(t)] = (weakref.ref(t), ctx)
-        return t
+        return mk_op(sig, ctx, name, params, vals)[0]
 
     def msubst(src, dst, value, images):
         return subst(sig, value, Assignment(src, dst, tuple(images)))

@@ -470,12 +470,15 @@ def builtin(name: str) -> Signature:
 # Scanner shared by the signature, term, and table grammars
 
 
+# A word with '.' or '/' in it is one path token, which only a table
+# header accepts; nat and ident give way to it.
 _TOKEN_RE = re.compile(
     r"""(?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
       | (?P<arrowsym>->|=>)
-      | (?P<nat>\d+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_?]*|\*)
+      | (?P<nat>\d+(?![\w-]*[./]))
+      | (?P<ident>(?:[A-Za-z_][A-Za-z0-9_?]*|\*)(?![\w-]*[./]))
       | (?P<punct>[()<>\[\],:|=-])
+      | (?P<path>(?:[\w.~/]|-(?!>))*[./](?:[\w.~/]|-(?!>))*)
       | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,

@@ -12,13 +12,16 @@ also carries a bound on its loose indices, 1 + the largest variable
 index occurring in it (0 when there is none), so that substitution can
 return untouched subterms as they are; an operator computes its bound on
 first use and keeps it.  Instances are immutable by contract; nothing in
-the library mutates them beyond filling in that bound.
+the library mutates them beyond filling in that bound, and beyond the
+check certificate :func:`mk_op` writes once on the node it has just
+built.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Sequence, Union
 
@@ -103,8 +106,8 @@ _UNSET = sys.maxsize
 
 
 class Op(Term):
-    # Weak references let the term model remember the nodes it has checked.
-    __slots__ = ("name", "params", "args", "_hash", "_bound", "__weakref__")
+    # _cert is (signature, context, sort) on a node mk_op built, else None.
+    __slots__ = ("name", "params", "args", "_hash", "_bound", "_cert")
     __match_args__ = ("name", "params", "args")
 
     def __init__(self, name: str, params: tuple = (), args: tuple = ()):
@@ -113,6 +116,7 @@ class Op(Term):
         self.args = args
         self._hash = hash((Op, name, params, args))
         self._bound = _UNSET
+        self._cert = None
 
     def __eq__(self, other):
         if self is other:
@@ -192,9 +196,42 @@ def mk_op(
     params: Sequence = (),
     args: Sequence[Term] = (),
 ) -> tuple[Term, Sort]:
-    """Checked construction of an operator node; returns it with its sort."""
+    """Checked construction of an operator node; returns it with its sort.
+
+    The check is local to the node: a variable argument's sort is its
+    entry in the argument's context, and an operator argument that
+    ``mk_op`` built under ``sig`` has the sort it was checked at, over an
+    equal context, or over any context when it is closed.  Any other
+    argument is checked down to such subterms.  The new node records
+    (``sig``, ``ctx``, sort) as its certificate: well-formedness depends
+    only on these and the term, all immutable, so it never goes stale.
+    """
+    ctx = tuple(ctx)
     t = Op(name, tuple(params), tuple(args))
-    return t, _infer(sig, tuple(ctx), t)
+    arity = sig._cache.get(("arity", name, t.params)) or sig.arity(name, t.params)
+    if len(t.args) != len(arity.inputs):
+        raise ArityMismatch(f"{name} expects {len(arity.inputs)} argument(s), got {len(t.args)}")
+    found = []
+    for inp, v in zip(arity.inputs, t.args):
+        c = inp.bound + ctx if inp.bound else ctx
+        scope = (c, None, len(c))
+        if type(v) is Var:
+            found.append(_scope_lookup(scope, v.index))
+        else:
+            found.append(_certified(sig, scope, v) or _infer(sig, c, v, partial(_certified, sig)))
+    sort = _check_args(None, t, arity, found)
+    t._cert = (sig, ctx, sort)
+    return t, sort
+
+
+def _certified(sig: Signature, scope, t: Term) -> Sort | None:
+    """The sort on ``t``'s certificate if it holds under ``sig`` over the
+    scope's context, else None: ``_walk``'s ``known`` for such checks."""
+    cert = t._cert if type(t) is Op else None
+    if cert is None or cert[0] is not sig:
+        return None
+    ctx = _scope_context(scope)
+    return cert[2] if cert[1] is ctx or cert[1] == ctx or _loose_bound(t) == 0 else None
 
 
 def _loose_bound(t: Term) -> int:

@@ -314,10 +314,14 @@ def parse_table(text: str) -> TranslationTable:
     Without an arrow policy the morphism is the identity on base names.
     """
     ts = TokenStream(text)
+
+    def signature_spec():  # a builtin name, or a path (a word with '/' or '.')
+        return ts.next()[1] if ts.peek()[0] == "path" else ts.expect_kind("ident")
+
     ts.expect("translate")
-    src_name = ts.expect_kind("ident")
+    src_name = signature_spec()
     ts.expect("->")
-    tgt_name = ts.expect_kind("ident")
+    tgt_name = signature_spec()
     source = _load_signature(src_name)
     target = _load_signature(tgt_name)
     base_map: dict[str, Sort] = {}

@@ -211,6 +211,20 @@ def test_translate_table_file(tmp_path, capsys):
     assert code == 0 and out.strip() == "(op abs (var 1))"
 
 
+def test_translate_table_naming_a_signature_file(tmp_path, capsys):
+    sig = tmp_path / "mini.sig"
+    sig.write_text("signature mini\nop lam : ([*] *) -> *\nop ap : (*, *) -> *\n")
+    f = tmp_path / "mini2ulc.tbl"
+    f.write_text(
+        f"translate {sig} -> ulc\n"
+        "clause lam = (op abs (ph 0))\n"
+        "clause ap = (op app (ph 0) (ph 1))\n"
+    )
+    term = "(op lam (op ap (var 0) (var 1)))"
+    code, out, err = run(capsys, "translate", "--table", str(f), "--ctx", "1", term)
+    assert (code, out, err) == (0, "(op abs (op app (var 0) (var 1)))\n", "")
+
+
 def test_translate_clause_ill_sorted_at_instantiation(tmp_path, capsys):
     # app<iota,t> checks at the spot instantiation s = iota, not at s = arrow(iota,iota)
     f = tmp_path / "bad.tbl"

@@ -23,6 +23,7 @@ from bindsig import (
     fold,
     free_extend,
     fv_model,
+    mk_op,
     parse_term,
     print_term,
     rename,
@@ -105,6 +106,15 @@ def test_deep_chain(sig_name, chain, text, binders, image, weakened):
     assert subst(sig, t, Assignment(CTX, TARGET, (image,))) == chain(weakened(binders))
     assert rename(sig, t, Renaming(CTX, TARGET, (1,))) == renamed
     assert weaken(sig, CTX, t, TARGET) == chain(Var(binders + 2))
+
+
+def test_checked_construction_is_linear():
+    # each mk_op checks its node against its argument's certificate only
+    nat = builtin("nat")
+    t = Var(0)
+    for _ in range(N):
+        t, sort = mk_op(nat, CTX, "succ", (), (t,))
+    assert t == succs(Var(0)) and sort == STAR
 
 
 def test_deep_folds():

@@ -163,8 +163,9 @@ def test_term_model_checks_arguments_it_did_not_build_in_full(ulc):
 
 
 def test_term_model_shared_between_threads(ulc):
-    # one model's memory of checked nodes is shared: a lost update may cost
-    # a second check, never a missed one
+    # a node's check certificate is written once, by mk_op, on the node it
+    # has just built, and never changes, so threads sharing one model and
+    # its nodes cannot see a stale or missing verdict
     m = term_model(ulc)
     cases = [((STAR,) * n, t) for n in range(3) for t in enumerate_terms(ulc, (STAR,) * n, STAR, 3)]
     escaped = Op("abs", (), (Var(1),))

@@ -278,6 +278,17 @@ STLC_TYPES = TypeSystem(("iota",), arrow_enabled=True)
         pytest.param(parse_table,
                      "translate ulc -> ulc\nclause abs = (op abs (ph 0))\n\tclause abs = (op abs (ph 0))\n",
                      3, 9, "duplicate clause for abs", id="table-duplicate-clause"),
+        # a word with '/' or '.' is one token, which only a table header accepts
+        pytest.param(parse_term, "(op abs.x (var 0))", 1, 5,
+                     "expected ident, found 'abs.x'", id="term-path-token"),
+        pytest.param(parse_term, "(op abs (var 0.5))", 1, 14,
+                     "expected nat, found '0.5'", id="term-path-token-index"),
+        pytest.param(lambda text: parse_context(STLC_TYPES, text), "(ctx iota ~/iota)", 1, 11,
+                     "expected a sort, found '~/iota'", id="context-path-token"),
+        pytest.param(parse_signature, "signature s\nop f : (a/b) -> *\n", 2, 9,
+                     "expected a sort, found 'a/b'", id="signature-path-token"),
+        pytest.param(parse_table, "translate ulc -> ulc\nclause abs.sig = (op abs (ph 0))\n", 2, 8,
+                     "expected ident, found 'abs.sig'", id="table-clause-path-token"),
     ],
 )
 def test_parse_syntax_error_has_position(parse, text, line, col, message):

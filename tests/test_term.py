@@ -30,9 +30,11 @@ from bindsig.errors import (
     IllFormed,
     ParseError,
     ScopeError,
+    SortMismatch,
     Unbounded,
 )
-from bindsig.sigdef import Signature
+from bindsig import term as term_module
+from bindsig.sigdef import Signature, parse_signature
 from bindsig.term import instantiations, term_depth
 
 from oracles import ulc_stage_count, well_formed_terms
@@ -99,6 +101,39 @@ def test_mk_op_scope_error_propagates(ulc):
 def test_mk_op_arity_checked(ulc):
     with pytest.raises(ArityMismatch):
         mk_op(ulc, (STAR,), "app", (), (Var(0),))
+
+
+# mk_op trusts the certificate of a node it built only under the same
+# signature and over an equal context, or over any context when the node is
+# closed; any other argument is checked again.
+
+
+def test_certificate_is_not_trusted_under_another_signature(ulc):
+    lam, _ = mk_op(ulc, (), "abs", (), (Var(0),))
+    flat = parse_signature("signature flat\nop abs : (*) -> *\n")  # abs binds nothing
+    with pytest.raises(ScopeError):
+        mk_op(flat, (), "abs", (), (lam,))
+
+
+def test_certificate_is_not_trusted_over_another_context(stlc):
+    arrow = ArrowSort(IOTA, IOTA)
+    lam, sort = mk_op(stlc, (IOTA,), "abs", (IOTA, IOTA), (Var(1),))
+    assert sort == arrow
+    # over (arrow(iota,iota)) the body's (var 1) is a function, not an iota
+    with pytest.raises(SortMismatch, match="argument 0 of abs: expected iota, found arrow"):
+        mk_op(stlc, (arrow,), "app", (IOTA, IOTA), (lam, Var(0)))
+
+
+def test_closed_certified_node_is_accepted_over_a_larger_context(fol, monkeypatch):
+    top, _ = mk_op(fol, (), "top")
+    closed, _ = mk_op(fol, (), "neg", (), (top,))
+
+    def no_second_check(*args):
+        raise AssertionError("a certified closed node was checked again")
+
+    monkeypatch.setattr(term_module, "_infer", no_second_check)
+    t, sort = mk_op(fol, (STAR,), "forall", (), (closed,))  # its body is over (*, *)
+    assert t == Op("forall", (), (Op("neg", (), (Op("top"),)),)) and sort == STAR
 
 
 def test_sort_of_var(ulc):

@@ -350,3 +350,18 @@ def test_clause_is_checked_at_each_instantiation(stlc):
     # the instantiation the spot check covered still translates
     ok = Op("app", (IOTA, IOTA), (Var(0), Var(1)))
     assert translate_term(table, (ARR, IOTA), ok) == ok
+
+
+MINI = "signature mini\nop lam : ([*] *) -> *\nop ap : (*, *) -> *\n"
+MINI_CLAUSES = "clause lam = (op abs (ph 0))\nclause ap = (op app (ph 0) (ph 1))\n"
+
+
+def test_table_header_names_signature_files(tmp_path, monkeypatch):
+    (tmp_path / "mini.sig").write_text(MINI)
+    term = Op("lam", (), (Op("ap", (), (Var(0), Var(0))),))
+    expected = Op("abs", (), (Op("app", (), (Var(0), Var(0))),))
+    absolute = parse_table(f"translate {tmp_path / 'mini.sig'} -> ulc\n" + MINI_CLAUSES)
+    assert translate_term(absolute, (), term) == expected
+    monkeypatch.chdir(tmp_path)
+    relative = parse_table("translate mini.sig -> ulc\n" + MINI_CLAUSES)
+    assert translate_term(relative, (), term) == expected
