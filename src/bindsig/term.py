@@ -6,15 +6,19 @@ term over ``bound ++ ctx`` sees the freshly bound variables at indices
 well-formedness is a judgment checked against a signature, a context and
 an expected sort, which keeps structural sharing and equality cheap.
 
-``Var`` and ``Op`` are hand-rolled slotted classes with precomputed
-hashes: the law suites compare and hash millions of terms.  Each node
-also carries a bound on its loose indices, 1 + the largest variable
-index occurring in it (0 when there is none), so that substitution can
-return untouched subterms as they are; an operator computes its bound on
-first use and keeps it.  Instances are immutable by contract; nothing in
-the library mutates them beyond filling in that bound, and beyond the
-check certificate :func:`mk_op` writes once on the node it has just
-built.
+``Var`` and ``Op`` are hand-rolled slotted classes.  An operator
+computes its structural hash on first use and keeps it, so the walks,
+which build many nodes and hash none, do not pay for it, while the law
+suites, which compare and hash millions of terms, hash each node once.
+``Op`` requires ``params`` and ``args`` to be tuples; an unhashable value
+nested inside them is reported when the term is first hashed or walked.
+Each node also carries a bound on its loose indices, 1 + the largest
+variable index occurring in it (0 when there is none), so that
+substitution can return untouched subterms as they are; an operator
+computes its bound on first use and keeps it.  Instances are immutable
+by contract; nothing in the library mutates them beyond filling in that
+hash and bound, and beyond the check certificate :func:`mk_op` writes
+once on the node it has just built.
 """
 
 from __future__ import annotations
@@ -80,12 +84,11 @@ class Term:
 
 
 class Var(Term):
-    __slots__ = ("index", "_hash", "_bound")
+    __slots__ = ("index", "_bound")
     __match_args__ = ("index",)
 
     def __init__(self, index: int):
         self.index = index
-        self._hash = hash((Var, index))
         self._bound = index + 1
 
     def __eq__(self, other):
@@ -94,7 +97,7 @@ class Var(Term):
         return type(other) is Var and other.index == self.index
 
     def __hash__(self):
-        return self._hash
+        return hash((Var, self.index))
 
     def __repr__(self):
         return f"Var({self.index})"
@@ -106,25 +109,29 @@ _UNSET = sys.maxsize
 
 
 class Op(Term):
-    # _cert is (signature, context, sort) on a node mk_op built, else None.
+    # _hash is None until first use; _cert is (signature, context, sort) on
+    # a node mk_op built, else None.
     __slots__ = ("name", "params", "args", "_hash", "_bound", "_cert")
     __match_args__ = ("name", "params", "args")
 
     def __init__(self, name: str, params: tuple = (), args: tuple = ()):
+        if type(params) is not tuple or type(args) is not tuple:
+            raise TypeError("Op params and args must be tuples")
         self.name = name
         self.params = params
         self.args = args
-        self._hash = hash((Op, name, params, args))
+        self._hash = None
         self._bound = _UNSET
         self._cert = None
 
     def __eq__(self, other):
         if self is other:
             return True
-        if type(other) is not Op or other._hash != self._hash:
+        if type(other) is not Op:
             return False
         # Structural comparison on two explicit stacks: terms may be deeper
-        # than the Python stack.
+        # than the Python stack.  Hashes only reject, and only where both
+        # nodes already have one: comparing computes none.
         xs, ys = [self], [other]
         while xs:
             x, y = xs.pop(), ys.pop()
@@ -134,8 +141,9 @@ class Op(Term):
             if kind is not type(y):
                 return False
             if kind is Op:
+                hx, hy = x._hash, y._hash
                 if (
-                    x._hash != y._hash
+                    (hx != hy and hx is not None and hy is not None)
                     or x.name != y.name
                     or x.params != y.params
                     or len(x.args) != len(y.args)
@@ -151,7 +159,10 @@ class Op(Term):
         return True
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = _fill_hash(self)
+        return h
 
     def __repr__(self):
         bits = [repr(self.name)]
@@ -160,6 +171,28 @@ class Op(Term):
         if self.args:
             bits.append(f"args={self.args!r}")
         return f"Op({', '.join(bits)})"
+
+
+def _fill_hash(t: Op) -> int:
+    """Compute and keep ``hash((Op, name, params, args))`` on ``t`` and on
+    every operator below it without one.  Children go first, on an
+    explicit stack, so hashing a node's ``args`` reads kept hashes and
+    never recurses."""
+    stack = [t]
+    while stack:
+        x = stack[-1]
+        if x._hash is not None:  # a shared node, pushed twice
+            stack.pop()
+            continue
+        pending = False
+        for a in x.args:
+            if type(a) is Op and a._hash is None:
+                stack.append(a)
+                pending = True
+        if not pending:
+            x._hash = hash((Op, x.name, x.params, x.args))
+            stack.pop()
+    return t._hash
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +413,10 @@ def term_depth(t: Term) -> int:
     while stack:
         t, depth = stack.pop()
         deepest = max(deepest, depth)
-        if type(t) is not Var:
+        if type(t) is Op:
             stack.extend((a, depth + 1) for a in t.args)
+        elif type(t) is not Var:
+            raise IllFormed(f"not a term: {t!r}")
     return deepest
 
 
@@ -636,24 +671,28 @@ def _print_param(p) -> str:
     return print_sort(p)
 
 
+_CLOSE = object()  # print_term's closing parenthesis: no argument is it
+
+
 def print_term(t: Term) -> str:
-    out: list[str] = []
+    out: list[str] = []  # each term's text starts with a space
     stack: list = [t]  # terms still to print, and closing parentheses
+    close = _CLOSE
     while stack:
         t = stack.pop()
-        if type(t) is str:
-            out.append(t)
+        if t is close:
+            out.append(")")
         elif type(t) is Var:
-            out.append(f"(var {t.index})")
-        else:
-            out.append("(op " + t.name)
+            out.append(f" (var {t.index})")
+        elif type(t) is Op:
+            out.append(" (op " + t.name)
             if t.params:
                 out.append("<" + ",".join(_print_param(p) for p in t.params) + ">")
-            stack.append(")")
-            for a in reversed(t.args):
-                stack.append(a)
-                stack.append(" ")
-    return "".join(out)
+            stack.append(close)
+            stack.extend(reversed(t.args))
+        else:
+            raise IllFormed(f"not a term: {t!r}")
+    return "".join(out)[1:]
 
 
 def parse_context(types: TypeSystem, text: str) -> Context:

@@ -6,11 +6,17 @@ offset-exact and graft-only: each placeholder occurs under precisely the
 image of its input's bound list, so substituting the translated argument
 needs no shifting and capture-avoidance is automatic.  Variables
 translate to themselves because the context image is pointwise.
+
+Each clause is checked at a parameter instantiation on first use, then
+compiled into a builder that makes one node per template node holding a
+placeholder; placeholder-free template parts are built once and shared
+by every output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -138,13 +144,14 @@ class TranslationTable:
     target: Signature
     morphism: TypeMorphism
     clauses: Mapping[str, Template]
-    # (schema name, source params) -> clause with its parameters resolved
+    # (schema name, source params) -> builder of the checked clause
     _checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
-def _clause_at(table: TranslationTable, name: str, source_params: tuple) -> Template:
+def _clause_at(table: TranslationTable, name: str, source_params: tuple):
     """The clause of ``name`` at ``source_params``, its parameters resolved,
-    checked against the source arity on first use and memoised."""
+    checked against the source arity on first use and memoised as a
+    builder: a function from the translated arguments to the output."""
     key = (name, source_params)
     hit = table._checked.get(key)
     if hit is not None:
@@ -208,8 +215,45 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple) -> Temp
         )
         return Op(template.name, params, args)
 
-    hit = table._checked[key] = check(template, g.apply(arity.output), ())
+    clause = check(template, g.apply(arity.output), ())
+    hit = table._checked[key] = _compile(clause, len(placeholders))
     return hit
+
+
+def _compile(clause: Template, n: int):
+    """A builder for a checked clause of ``n`` placeholders.
+
+    The builder fills a list: the translated arguments, then the entries
+    made here, post-order.  A placeholder-free part is made once, here,
+    and shared by every output; a node holding a placeholder is made per
+    call from the entries it picks by position.
+    """
+    entries, steps = [], []  # entries after the arguments; one step per node made per call
+
+    def position(t) -> int:  # where the list holds t's value
+        if type(t) is Placeholder:
+            return t.index
+        mark, made = len(entries), len(steps)
+        picks = [position(a) for a in t.args] if type(t) is Op else []
+        if len(steps) == made and all(p >= n for p in picks):  # no placeholder below t
+            del entries[mark:]
+            entries.append(t)
+        else:
+            entries.append(None)
+            at = n + len(entries) - 1
+            steps.append((t.name, t.params, itemgetter(*picks), len(picks) == 1, at))
+        return n + len(entries) - 1
+
+    root = position(clause)
+
+    def build(translated: list) -> Term:
+        out = translated + entries
+        for name, params, pick, single, at in steps:
+            args = pick(out)
+            out[at] = Op(name, params, (args,) if single else args)
+        return out[root]
+
+    return build
 
 
 def make_table(
@@ -241,21 +285,13 @@ def make_table(
     return table
 
 
-def _graft(template: Template, args: Sequence[Term]) -> Term:
-    if isinstance(template, Placeholder):
-        return args[template.index]
-    if type(template) is Var:
-        return template
-    return Op(template.name, template.params, tuple(_graft(a, args) for a in template.args))
-
-
 def translate_term(table: TranslationTable, ctx: Sequence[Sort], t: Term) -> Term:
     """Apply the table; the result is well-formed over the image context
     at the image sort.  Variables keep their indices.  A clause that is
     ill-sorted at a parameter instantiation raises when first used there."""
 
     def node(env, t: Op, arity, translated) -> Term:
-        return _graft(_clause_at(table, t.name, t.params), translated)
+        return _clause_at(table, t.name, t.params)(translated)
 
     # Translation needs no context: variables keep their indices.
     return _walk(table.source, t, None, lambda env, i: Var(i), node, lambda env, bound: None)

@@ -18,11 +18,13 @@ from bindsig import (
     lift_assignment,
     make_assignment,
     mk_op,
+    print_term,
     random_term,
     rename,
     sort_of,
     subst,
     subst1,
+    term_depth,
     weaken,
 )
 from bindsig.errors import ContextMismatch, IllFormed, ScopeError, SortMismatch
@@ -471,3 +473,8 @@ def test_non_term_argument_is_ill_formed_not_attribute_error(ulc):
         subst(ulc, Op("abs", (), (bad,)), Assignment((STAR,), (STAR,), (Var(0),)))
     with pytest.raises(IllFormed):
         rename(ulc, bad, identity_renaming((STAR,)))
+    for t in (Op("app", (), (Var(0), 5)), Op("abs", (), (bad,)), Op("app", (), (Var(0), ")"))):
+        with pytest.raises(IllFormed):
+            term_depth(t)
+        with pytest.raises(IllFormed):
+            print_term(t)

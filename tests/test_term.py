@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from bindsig import (
     BaseSort,
     Op,
     OpCase,
+    ParamRef,
+    Placeholder,
     Var,
     VarCase,
     XorShift64Star,
@@ -134,6 +139,157 @@ def test_closed_certified_node_is_accepted_over_a_larger_context(fol, monkeypatc
     monkeypatch.setattr(term_module, "_infer", no_second_check)
     t, sort = mk_op(fol, (STAR,), "forall", (), (closed,))  # its body is over (*, *)
     assert t == Op("forall", (), (Op("neg", (), (Op("top"),)),)) and sort == STAR
+
+
+# ---------------------------------------------------------------------------
+# hashing and equality: an operator hashes on first use
+
+
+class _Hashed:
+    """Stands for an item whose hash is known: a tuple's hash reads only
+    its items' hashes."""
+
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def formula_hash(t):
+    """``hash((Op, name, params, args))``, arguments hashed the same way,
+    computed without the library's hashing."""
+    if type(t) in (Var, Placeholder):
+        return hash((type(t), t.index))
+    return hash((Op, t.name, t.params, tuple(_Hashed(formula_hash(a)) for a in t.args)))
+
+
+HASHED_TERMS = [
+    Var(0),
+    Var(7),
+    Op("zero"),
+    LAM0,
+    Op("app", (), (LAM0, Op("app", (), (Var(1), Var(0))))),
+    Op("app", (IOTA, IOTA), (Var(0), Var(1))),
+    Op("abs", (ArrowSort(IOTA, IOTA), IOTA), (Var(0),)),
+    Op("k", (3,), ()),
+    Op("lolli", (), (Op("bang", (), (Placeholder(0),)), Op("zero"))),
+    Op("app", (ParamRef(0), ParamRef(1)), (Placeholder(1), Placeholder(0))),
+]
+
+
+@pytest.mark.parametrize("t", HASHED_TERMS, ids=repr)
+def test_hash_is_the_structural_formula(t):
+    assert hash(t) == formula_hash(t)
+    assert hash(t) == hash(t)
+    for a in getattr(t, "args", ()):
+        assert hash(a) == formula_hash(a)
+
+
+def _succs(n, leaf):
+    for _ in range(n):
+        leaf = Op("succ", (), (leaf,))
+    return leaf
+
+
+ARROW_II = ArrowSort(IOTA, IOTA)
+# (left, right, equal?): builders, so that each hashing state starts fresh
+EQUALITY_CASES = [
+    (
+        lambda: parse_term("(op app (op abs (var 0)) (var 1))"),
+        lambda: Op("app", (), (LAM0, Var(1))),
+        True,
+    ),
+    (lambda: _succs(200, Var(0)), lambda: _succs(200, Var(0)), True),
+    (lambda: _succs(200, Var(0)), lambda: _succs(200, Var(1)), False),
+    (lambda: _succs(200, Op("zero")), lambda: _succs(200, Var(0)), False),
+    (lambda: _succs(200, Op("k", (2,), ())), lambda: _succs(200, Op("k", (3,), ())), False),
+    (
+        lambda: Op("app", (IOTA, IOTA), (Var(0), Var(1))),
+        lambda: Op("app", (ARROW_II, IOTA), (Var(0), Var(1))),
+        False,
+    ),
+    (lambda: Op("f", (), (Var(0),)), lambda: Op("f", (), (Var(0), Var(0))), False),
+    (lambda: _succs(50, Placeholder(0)), lambda: _succs(50, Placeholder(0)), True),
+    (lambda: _succs(50, Placeholder(0)), lambda: _succs(50, Placeholder(1)), False),
+]
+
+
+@pytest.mark.parametrize("hashed", ["neither", "left", "right", "both", "left below the root"])
+def test_equality_does_not_depend_on_which_sides_were_hashed(hashed):
+    for left, right, equal in EQUALITY_CASES:
+        a, b = left(), right()
+        if hashed in ("left", "both"):
+            hash(a)
+        if hashed in ("right", "both"):
+            hash(b)
+        if hashed == "left below the root":
+            hash(a.args[0])
+        assert (a == b) is equal and (b == a) is equal
+        assert (a != b) is not equal and (b != a) is not equal
+
+
+def test_deep_chain_hashes_equal_to_its_reparsed_twin_after_a_hash_free_comparison():
+    t, expected = Var(0), hash((Var, 0))
+    for _ in range(100_000):
+        t = Op("succ", (), (t,))
+        expected = hash((Op, "succ", (), (_Hashed(expected),)))
+    twin = parse_term(print_term(t))
+    assert t == twin
+    assert t._hash is None and twin._hash is None  # comparing computed no hash
+    assert hash(twin) == hash(t) == expected
+
+
+def test_threads_hashing_one_shared_term_agree():
+    def ladder():
+        nodes = [Var(0)]
+        for i in range(20_000):
+            nodes.append(Op("app", (), (nodes[-1], Op("abs", (), (Var(i % 3),)))))
+        return nodes
+
+    shared, twin = ladder(), ladder()
+    expected = [hash(x) for x in twin]
+    seen = []
+
+    def work(start):
+        # each thread starts at its own depth, so threads meet half-hashed terms
+        seen.append((hash(shared[start]), hash(shared[-1])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k * 5_000,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == sorted((expected[k * 5_000], expected[-1]) for k in range(4))
+    assert [hash(x) for x in shared] == expected
+
+
+def test_op_requires_tuples():
+    for params, args in (([], [Var(0)]), ((), [Var(0)]), ([], ())):
+        with pytest.raises(TypeError):
+            Op("app", params, args)
+
+
+def test_unhashable_value_inside_a_term_is_reported_at_first_hash_or_walk(ulc):
+    # construction checks only that params and args are tuples
+    bad_param = Op("app", ({},), (Var(0), Var(0)))
+    bad_arg = Op("app", (), (Var(0), [Var(0)]))
+    for t in (bad_param, bad_arg, Op("abs", (), (bad_arg,))):
+        with pytest.raises(TypeError):
+            hash(t)
+        with pytest.raises(TypeError):
+            {t}
+    with pytest.raises(TypeError):
+        sort_of(ulc, (STAR,), bad_param)
+    with pytest.raises(IllFormed):
+        sort_of(ulc, (STAR,), bad_arg)
 
 
 def test_sort_of_var(ulc):

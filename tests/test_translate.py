@@ -7,10 +7,12 @@ from bindsig import (
     Assignment,
     BaseSort,
     Op,
+    ParamRef,
     Placeholder,
     Renaming,
     TypeMorphism,
     Var,
+    XorShift64Star,
     builtin,
     builtin_table,
     enumerate_terms,
@@ -19,6 +21,7 @@ from bindsig import (
     map_context,
     mk_op,
     parse_table,
+    random_term,
     rename,
     sort_of,
     subst,
@@ -365,3 +368,69 @@ def test_table_header_names_signature_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     relative = parse_table("translate mini.sig -> ulc\n" + MINI_CLAUSES)
     assert translate_term(relative, (), term) == expected
+
+
+# ---------------------------------------------------------------------------
+# compiled clause builders
+
+
+def graft_oracle(table, t):
+    """Translation by recursive grafting of the table's raw clauses."""
+    if type(t) is Var:
+        return t
+    args = [graft_oracle(table, a) for a in t.args]
+    resolved = tuple(p if isinstance(p, int) else table.morphism.apply(p) for p in t.params)
+
+    def graft(template):
+        if isinstance(template, Placeholder):
+            return args[template.index]
+        if type(template) is Var:
+            return template
+        params = tuple(resolved[p.index] if isinstance(p, ParamRef) else p for p in template.params)
+        return Op(template.name, params, tuple(graft(a) for a in template.args))
+
+    return graft(table.clauses[t.name])
+
+
+# ulc -> ulc, reordering and duplicating placeholders around template variables
+SHUFFLE_FILE = """translate ulc -> ulc
+clause app = (op app (ph 1) (op app (ph 0) (ph 1)))
+clause abs = (op abs (op app (op app (var 0) (ph 0)) (op abs (var 0))))
+"""
+
+
+@pytest.mark.parametrize(
+    "table_name, sort, max_sort_depth",
+    [
+        ("fol2ll", STAR, None),
+        ("stlc2ulc", IOTA, 1),
+        ("identity pcf", BaseSort("nat"), 1),
+        ("shuffle", STAR, None),
+    ],
+)
+def test_compiled_builders_agree_with_a_recursive_graft(table_name, sort, max_sort_depth):
+    if table_name == "identity pcf":
+        table = identity_table(builtin("pcf"))
+    elif table_name == "shuffle":
+        table = parse_table(SHUFFLE_FILE)
+    else:
+        table = builtin_table(table_name)
+    rng = XorShift64Star(2024)
+    for n in (1, 2):
+        ctx = (sort,) * n
+        for _ in range(60):
+            t = random_term(table.source, ctx, sort, 5, rng, max_sort_depth)
+            assert translate_term(table, ctx, t) == graft_oracle(table, t)
+
+
+def test_placeholder_free_template_parts_are_shared(fol2ll):
+    a = translate_term(fol2ll, (STAR,), Op("neg", (), (Var(0),)))
+    b = translate_term(fol2ll, (), Op("neg", (), (Op("top"),)))
+    assert a.args[0] is not b.args[0]
+    assert a.args[1] is b.args[1] == Op("zero")
+    assert translate_term(fol2ll, (), Op("top")) is translate_term(fol2ll, (), Op("top"))
+    shuffle = parse_table(SHUFFLE_FILE)
+    c = translate_term(shuffle, (), Op("abs", (), (Var(0),)))
+    d = translate_term(shuffle, (STAR,), Op("abs", (), (Var(1),)))
+    assert c.args[0].args[1] is d.args[0].args[1] == Op("abs", (), (Var(0),))
+    assert c.args[0].args[0].args[0] is d.args[0].args[0].args[0] == Var(0)
