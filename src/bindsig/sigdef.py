@@ -338,11 +338,6 @@ def sum_signatures(a: Signature, b: Signature) -> Signature:
     return Signature(a.types, a.schemas + b.schemas)
 
 
-def normalize(sig: Signature) -> Signature:
-    """Schemas re-ordered by name; used to compare sums up to ordering."""
-    return Signature(sig.types, tuple(sorted(sig.schemas, key=lambda s: s.name)))
-
-
 # ---------------------------------------------------------------------------
 # Builtin signatures
 

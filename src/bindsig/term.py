@@ -466,12 +466,23 @@ def instantiations(
 # Depth-stratified enumeration: A_0 = empty, A_{k+1} = vars + one schema layer
 
 
-def _chain_cells(sig, max_sort_depth):
-    cells = sig._cache.get(("cells", max_sort_depth))
-    if cells is None:
-        cells = {}
-        sig._cache[("cells", max_sort_depth)] = cells
-    return cells
+def _productions(sig: Signature, ctx: Context, sort: Sort, max_sort_depth: int | None):
+    """The one-step productions of the (ctx, sort) cell, in canonical order:
+    its variables, ascending, and ``(name, params, ((input context, input
+    sort), ...))`` per schema instantiation with that output.  Memoised."""
+    table = sig._cache.setdefault(("productions", max_sort_depth), {})
+    key = (ctx, sort)
+    hit = table.get(key)
+    if hit is None:
+        variables = tuple(Var(i) for i, entry in enumerate(ctx) if entry == sort)
+        ops = tuple(
+            (schema.name, params, tuple((inp.bound + ctx, inp.sort) for inp in arity.inputs))
+            for schema in sig.schemas
+            for params, arity in instantiations(sig, schema.name, max_sort_depth)
+            if arity.output == sort
+        )
+        hit = table[key] = (variables, ops)
+    return hit
 
 
 def enumerate_terms(
@@ -487,30 +498,20 @@ def enumerate_terms(
     instantiations in canonical parameter order), arguments lexicographic
     in the order of the previous stage.  Stage 0 is empty.
     """
+    cells = sig._cache.setdefault(("cells", max_sort_depth), {})
+    if depth <= 0:
+        return ()
     ctx = tuple(ctx)
-    cells = _chain_cells(sig, max_sort_depth)
-
-    def cell(c: Context, s: Sort, k: int) -> tuple[Term, ...]:
-        if k <= 0:
-            return ()
-        key = (c, s, k)
-        hit = cells.get(key)
-        if hit is not None:
-            return hit
-        out: list[Term] = [Var(i) for i, entry in enumerate(c) if entry == s]
-        for schema in sig.schemas:
-            for params, arity in instantiations(sig, schema.name, max_sort_depth):
-                if arity.output != s:
-                    continue
-                pools = [cell(inp.bound + c, inp.sort, k - 1) for inp in arity.inputs]
-                if any(not p for p in pools):
-                    continue
-                for args in product(*pools):
-                    out.append(Op(schema.name, params, args))
-        cells[key] = out = tuple(out)
-        return out
-
-    return cell(ctx, sort, depth)
+    key = (ctx, sort, depth)
+    hit = cells.get(key)
+    if hit is None:
+        variables, ops = _productions(sig, ctx, sort, max_sort_depth)
+        out: list[Term] = list(variables)
+        for name, params, inputs in ops:
+            pools = [enumerate_terms(sig, c, s, depth - 1, max_sort_depth) for c, s in inputs]
+            out.extend(Op(name, params, args) for args in product(*pools))
+        hit = cells[key] = tuple(out)
+    return hit
 
 
 def chain_count(
@@ -521,31 +522,24 @@ def chain_count(
     max_sort_depth: int | None = None,
 ) -> int:
     """|A_depth| at the cell, via the arity recurrence (exact integers)."""
-    ctx = tuple(ctx)
     counts = sig._cache.setdefault(("counts", max_sort_depth), {})
-
-    def count(c: Context, s: Sort, k: int) -> int:
-        if k <= 0:
-            return 0
-        key = (c, s, k)
-        hit = counts.get(key)
-        if hit is not None:
-            return hit
-        n = sum(1 for entry in c if entry == s)
-        for schema in sig.schemas:
-            for _params, arity in instantiations(sig, schema.name, max_sort_depth):
-                if arity.output != s:
-                    continue
-                prod = 1
-                for inp in arity.inputs:
-                    prod *= count(inp.bound + c, inp.sort, k - 1)
-                    if prod == 0:
-                        break
-                n += prod
+    if depth <= 0:
+        return 0
+    ctx = tuple(ctx)
+    key = (ctx, sort, depth)
+    n = counts.get(key)
+    if n is None:
+        variables, ops = _productions(sig, ctx, sort, max_sort_depth)
+        n = len(variables)
+        for _name, _params, inputs in ops:
+            prod = 1
+            for c, s in inputs:
+                prod *= chain_count(sig, c, s, depth - 1, max_sort_depth)
+                if prod == 0:
+                    break
+            n += prod
         counts[key] = n
-        return n
-
-    return count(ctx, sort, depth)
+    return n
 
 
 def random_term(sig, ctx, sort, depth, rng, max_sort_depth=None) -> Term:
@@ -558,24 +552,15 @@ def random_term(sig, ctx, sort, depth, rng, max_sort_depth=None) -> Term:
     ctx = tuple(ctx)
     if chain_count(sig, ctx, sort, depth, max_sort_depth) == 0:
         raise ValueError("empty cell: no term to draw")
-    choices = [("var", i) for i, entry in enumerate(ctx) if entry == sort]
-    for schema in sig.schemas:
-        for params, arity in instantiations(sig, schema.name, max_sort_depth):
-            if arity.output != sort:
-                continue
-            if all(
-                chain_count(sig, inp.bound + ctx, inp.sort, depth - 1, max_sort_depth)
-                for inp in arity.inputs
-            ):
-                choices.append(("op", schema.name, params, arity))
+    variables, ops = _productions(sig, ctx, sort, max_sort_depth)
+    choices = list(variables) + [
+        op for op in ops if all(chain_count(sig, c, s, depth - 1, max_sort_depth) for c, s in op[2])
+    ]
     pick = choices[rng.below(len(choices))]
-    if pick[0] == "var":
-        return Var(pick[1])
-    _tag, name, params, arity = pick
-    args = tuple(
-        random_term(sig, inp.bound + ctx, inp.sort, depth - 1, rng, max_sort_depth)
-        for inp in arity.inputs
-    )
+    if type(pick) is Var:
+        return pick
+    name, params, inputs = pick
+    args = tuple(random_term(sig, ic, isort, depth - 1, rng, max_sort_depth) for ic, isort in inputs)
     return Op(name, params, args)
 
 

@@ -7,10 +7,14 @@ image of its input's bound list, so substituting the translated argument
 needs no shifting and capture-avoidance is automatic.  Variables
 translate to themselves because the context image is pointwise.
 
-Each clause is checked at a parameter instantiation on first use, then
-compiled into a builder that makes one node per template node holding a
-placeholder; placeholder-free template parts are built once and shared
-by every output.
+Each clause is checked at a parameter instantiation on first use by the
+term checker, as a closed target term whose placeholders stand for their
+inputs' image sorts under exactly their image binders; its errors carry
+the clause's operator name as a prefix.  It is then compiled into a
+builder that makes one node per template node holding a placeholder;
+placeholder-free template parts are built once and shared by every
+output.  Clauses are walked on explicit stacks, so they may be deeper
+than the Python stack.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 from .errors import (
+    BindsigError,
     MissingClause,
     OffsetMismatch,
-    ScopeError,
     SortMismatch,
     TypeSystemMismatch,
     UnknownBuiltin,
@@ -40,7 +44,7 @@ from .sigdef import (
     print_sort,
     sorts_up_to_depth,
 )
-from .term import Context, Op, Term, Var, _read_term, _walk
+from .term import Context, Op, Term, Var, _infer, _read_term, _scope_context, _walk
 
 __all__ = [
     "TypeMorphism",
@@ -150,8 +154,8 @@ class TranslationTable:
 
 def _clause_at(table: TranslationTable, name: str, source_params: tuple):
     """The clause of ``name`` at ``source_params``, its parameters resolved,
-    checked against the source arity on first use and memoised as a
-    builder: a function from the translated arguments to the output."""
+    checked by the term checker on first use and memoised as a builder: a
+    function from the translated arguments to the output."""
     key = (name, source_params)
     hit = table._checked.get(key)
     if hit is not None:
@@ -162,65 +166,64 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
         raise MissingClause(f"no clause for source operator {name!r}") from None
     g, target = table.morphism, table.target
     arity = table.source.arity(name, source_params)
-    placeholders = [(map_context(g, inp.bound), g.apply(inp.sort)) for inp in arity.inputs]
+    images = [(map_context(g, inp.bound), g.apply(inp.sort)) for inp in arity.inputs]
+
+    def image_sort(scope, t):  # the checker's ``known``: a placeholder's image sort
+        if type(t) is not Placeholder:
+            return None
+        j = t.index
+        if not (0 <= j < len(images)):
+            raise OffsetMismatch(f"placeholder {j} out of range")
+        bound, sort = images[j]
+        accum = _scope_context(scope)
+        if accum != bound:
+            raise OffsetMismatch(
+                f"placeholder {j} sits under binder extension "
+                f"{[print_sort(s) for s in accum]}, "
+                f"expected {[print_sort(s) for s in bound]}"
+            )
+        return sort
+
     # Sort parameters pass through the type morphism, nat parameters unchanged.
-    resolved = tuple(p if isinstance(p, int) else g.apply(p) for p in source_params)
-
-    def check(template: Template, expected: Sort, accum: tuple[Sort, ...]) -> Template:
-        if isinstance(template, Placeholder):
-            j = template.index
-            if not (0 <= j < len(placeholders)):
-                raise OffsetMismatch(f"{name}: placeholder {j} out of range")
-            exp_bound, exp_sort = placeholders[j]
-            if accum != exp_bound:
-                raise OffsetMismatch(
-                    f"{name}: placeholder {j} sits under binder extension "
-                    f"{[print_sort(s) for s in accum]}, "
-                    f"expected {[print_sort(s) for s in exp_bound]}"
-                )
-            if expected != exp_sort:
-                raise SortMismatch(
-                    f"{name}: placeholder {j} used at sort "
-                    f"{print_sort(expected)}, carries {print_sort(exp_sort)}"
-                )
-            return template
-        if type(template) is Var:
-            if not (0 <= template.index < len(accum)):
-                raise ScopeError(
-                    f"{name}: template variable {template.index} escapes the "
-                    "template's own binders"
-                )
-            if accum[template.index] != expected:
-                raise SortMismatch(
-                    f"{name}: template variable {template.index} has sort "
-                    f"{print_sort(accum[template.index])}, expected {print_sort(expected)}"
-                )
-            return template
-        if type(template) is not Op:
-            raise SortMismatch(f"{name}: not a template node: {template!r}")
-        params = tuple(resolved[p.index] if isinstance(p, ParamRef) else p for p in template.params)
-        arity = target.arity(template.name, params)
-        if arity.output != expected:
+    values = tuple(p if isinstance(p, int) else g.apply(p) for p in source_params)
+    clause = _resolve(template, values)
+    try:
+        # A clause is a closed target term but for its placeholders.
+        sort = image_sort(((), None, 0), clause) or _infer(target, (), clause, image_sort)
+        expected = g.apply(arity.output)
+        if sort != expected:
             raise SortMismatch(
-                f"{name}: template node {template.name} returns "
-                f"{print_sort(arity.output)}, expected {print_sort(expected)}"
+                f"clause has sort {print_sort(sort)}, expected {print_sort(expected)}"
             )
-        if len(arity.inputs) != len(template.args):
-            raise SortMismatch(
-                f"{name}: template node {template.name} applied to "
-                f"{len(template.args)} argument(s), needs {len(arity.inputs)}"
-            )
-        args = tuple(
-            check(arg, inp.sort, inp.bound + accum) for inp, arg in zip(arity.inputs, template.args)
-        )
-        return Op(template.name, params, args)
-
-    clause = check(template, g.apply(arity.output), ())
-    hit = table._checked[key] = _compile(clause, len(placeholders))
+    except BindsigError as e:
+        raise type(e)(f"{name}: {e}") from None
+    hit = table._checked[key] = _compile(target, clause, len(images))
     return hit
 
 
-def _compile(clause: Template, n: int):
+def _resolve(template: Template, values: tuple) -> Template:
+    """``template`` with each ParamRef replaced by its value; operator
+    nodes are rebuilt post-order on an explicit stack, leaves kept."""
+    if type(template) is not Op:
+        return template
+    frames = [(template, iter(template.args), [])]  # (node, arguments to do, arguments done)
+    while True:
+        t, todo, done = frames[-1]
+        for a in todo:
+            if type(a) is Op:
+                frames.append((a, iter(a.args), []))
+                break
+            done.append(a)
+        else:
+            frames.pop()
+            params = tuple(values[p.index] if isinstance(p, ParamRef) else p for p in t.params)
+            value = Op(t.name, params, tuple(done))
+            if not frames:
+                return value
+            frames[-1][2].append(value)
+
+
+def _compile(target: Signature, clause: Template, n: int):
     """A builder for a checked clause of ``n`` placeholders.
 
     The builder fills a list: the translated arguments, then the entries
@@ -230,21 +233,28 @@ def _compile(clause: Template, n: int):
     """
     entries, steps = [], []  # entries after the arguments; one step per node made per call
 
-    def position(t) -> int:  # where the list holds t's value
-        if type(t) is Placeholder:
-            return t.index
-        mark, made = len(entries), len(steps)
-        picks = [position(a) for a in t.args] if type(t) is Op else []
-        if len(steps) == made and all(p >= n for p in picks):  # no placeholder below t
-            del entries[mark:]
-            entries.append(t)
-        else:
-            entries.append(None)
-            at = n + len(entries) - 1
-            steps.append((t.name, t.params, itemgetter(*picks), len(picks) == 1, at))
+    def entry(value) -> int:  # where the list holds the value
+        entries.append(value)
         return n + len(entries) - 1
 
-    root = position(clause)
+    def node(env, t: Op, arity, picks) -> int:
+        k = len(picks)
+        if all(p >= n and entries[p - n] is not None for p in picks):  # no placeholder below t
+            del entries[len(entries) - k :]  # the arguments' entries are the last k
+            return entry(t)
+        at = entry(None)  # filled per call
+        steps.append((t.name, t.params, itemgetter(*picks), k == 1, at))
+        return at
+
+    def placeholder(env, t):
+        return t.index if type(t) is Placeholder else None
+
+    def var(env, i) -> int:
+        return entry(Var(i))
+
+    root = placeholder(None, clause)
+    if root is None:
+        root = _walk(target, clause, None, var, node, lambda env, bound: None, placeholder)
 
     def build(translated: list) -> Term:
         out = translated + entries

@@ -2,11 +2,12 @@
 
 Every layer walks terms on an explicit stack, so a 100 000-deep chain goes
 through parse, print, checking, substitution, renaming, folds, translation,
-equality and hashing.  Expected values are built by plain loops, not by the
-library's traversal.  Folds into models run on binder-free chains: a model
-receives every node's context as a tuple, so a fold over n nested binders
-builds contexts of total size n^2 / 2.  Folding a chain into the term model
-gives the chain back, checking each node once.
+equality and hashing, and a translation clause thousands of nodes deep is
+read, checked and compiled.  Expected values are built by plain loops, not
+by the library's traversal.  Folds into models run on binder-free chains: a
+model receives every node's context as a tuple, so a fold over n nested
+binders builds contexts of total size n^2 / 2.  Folding a chain into the
+term model gives the chain back, checking each node once.
 """
 
 import pytest
@@ -24,6 +25,7 @@ from bindsig import (
     free_extend,
     fv_model,
     mk_op,
+    parse_table,
     parse_term,
     print_term,
     rename,
@@ -34,7 +36,8 @@ from bindsig import (
     weaken,
 )
 from bindsig.cli import main
-from bindsig.errors import ScopeError
+from bindsig.errors import OffsetMismatch, ScopeError
+from bindsig.term import term_depth
 
 N = 100_000
 STAR = BaseSort("*")
@@ -190,3 +193,42 @@ def test_deep_term_on_the_command_line(capsys):
     code = main(["fv", "--sig", "nat", "--ctx", "1", text])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, "{0}\n", "")
+
+
+DEEP = 3_000
+
+FOL_CLAUSES = """translate fol -> fol
+clause top = (op top)
+clause bot = (op bot)
+clause and = (op and (ph 0) (ph 1))
+clause or = (op or (ph 0) (ph 1))
+clause imp = (op imp (ph 0) (ph 1))
+clause exists = (op exists (ph 0))
+"""
+
+
+def test_deep_clause(tmp_path, capsys):
+    text = FOL_CLAUSES + "clause forall = (op forall (ph 0))\n"
+    text += "clause neg = " + "(op neg " * DEEP + "(ph 0)" + ")" * DEEP + "\n"
+    expected = Op("top")
+    for _ in range(DEEP):
+        expected = Op("neg", (), (expected,))
+    t = parse_term("(op neg (op top))")
+    got = translate_term(parse_table(text), (), t)
+    assert got == expected and term_depth(got) == DEEP + 1
+
+    path = tmp_path / "deep.tbl"
+    path.write_text(text)
+    code = main(["translate", "--table", str(path), "--ctx", "0", "(op neg (op top))"])
+    captured = capsys.readouterr()
+    shown = "(op neg " * DEEP + "(op top)" + ")" * DEEP + "\n"
+    assert (code, captured.out, captured.err) == (0, shown, "")
+
+
+def test_deep_clause_placeholder_one_binder_too_deep():
+    # forall's input binds one variable; the placeholder sits under two
+    text = FOL_CLAUSES + "clause neg = (op neg (ph 0))\n"
+    text += "clause forall = (op forall " + "(op neg " * (DEEP - 2)
+    text += "(op forall (ph 0))" + ")" * (DEEP - 1) + "\n"
+    with pytest.raises(OffsetMismatch, match="^forall: placeholder 0 sits under"):
+        parse_table(text)

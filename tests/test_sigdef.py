@@ -32,7 +32,6 @@ from bindsig.errors import (
     TypeSystemMismatch,
     UnknownBuiltin,
 )
-from bindsig.sigdef import normalize
 from bindsig.term import check_context
 
 STAR = BaseSort("*")
@@ -117,7 +116,8 @@ def test_sum_associative_up_to_order(ulc):
     b = make_signature(UNTYPED, [schema("c2", [])])
     left = sum_signatures(sum_signatures(ulc, a), b)
     right = sum_signatures(ulc, sum_signatures(a, b))
-    assert normalize(left) == normalize(right)
+    assert left.types == right.types
+    assert sorted(left.schemas, key=lambda s: s.name) == sorted(right.schemas, key=lambda s: s.name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import sys
 import threading
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from bindsig import (
     parse_context,
     parse_term,
     print_context,
+    print_sort,
     print_term,
     random_term,
     sort_of,
@@ -39,7 +42,7 @@ from bindsig.errors import (
     Unbounded,
 )
 from bindsig import term as term_module
-from bindsig.sigdef import Signature, parse_signature
+from bindsig.sigdef import Signature, parse_signature, sorts_up_to_depth
 from bindsig.term import instantiations, term_depth
 
 from oracles import ulc_stage_count, well_formed_terms
@@ -457,6 +460,31 @@ def test_random_term_seeded_and_well_formed(ulc):
     rng2 = XorShift64Star(42)
     again = [random_term(ulc, (STAR,), STAR, 6, rng2) for _ in range(50)]
     assert terms == again
+
+
+# The law suites sample their cases with seeded random_term draws, and their
+# golden counts depend on exactly which terms are drawn: this pins the draws.
+SEEDED_DRAWS_SHA256 = "c0c698a6427f2a1bc86fb807d87a19b99224c2581a343a5fe3d97b5f5959d5f4"
+
+
+def test_seeded_draws_are_pinned():
+    rng = XorShift64Star(7)
+    digest = hashlib.sha256()
+    for name in ("ulc", "fol", "stlc", "pcf"):
+        sig = builtin(name)
+        bases = sorts_up_to_depth(sig.types, 0)
+        for n in range(3):
+            for ctx in product(bases, repeat=n):
+                for sort in bases:
+                    for _ in range(5):
+                        try:
+                            t = random_term(sig, ctx, sort, 4, rng, max_sort_depth=1)
+                            shown = print_term(t)
+                        except ValueError:  # an empty cell draws nothing
+                            shown = "empty"
+                        line = f"{name} {print_context(ctx)} {print_sort(sort)} {shown}\n"
+                        digest.update(line.encode())
+    assert digest.hexdigest() == SEEDED_DRAWS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,11 @@ from bindsig import (
     translate_term,
 )
 from bindsig.errors import (
+    ArityMismatch,
+    IllFormed,
     MissingClause,
     OffsetMismatch,
+    ScopeError,
     SortMismatch,
     TypeSystemMismatch,
     UnknownBuiltin,
@@ -108,19 +111,41 @@ def test_missing_clause_rejected(fol, ll):
         make_table(fol, ll, TypeMorphism.collapse(fol.types, ll.types), clauses)
 
 
-def test_offset_mismatch_rejected(fol, ll):
-    clauses = dict(builtin_table("fol2ll").clauses)
-    # forall's argument binds one variable; using it at offset 0 must fail
-    clauses["forall"] = Placeholder(0)
-    with pytest.raises(OffsetMismatch):
-        make_table(fol, ll, TypeMorphism.collapse(fol.types, ll.types), clauses)
-
-
-def test_placeholder_out_of_range_rejected(fol, ll):
-    clauses = dict(builtin_table("fol2ll").clauses)
-    clauses["neg"] = Op("bang", (), (Placeholder(1),))
-    with pytest.raises(OffsetMismatch):
-        make_table(fol, ll, TypeMorphism.collapse(fol.types, ll.types), clauses)
+@pytest.mark.parametrize(
+    "table_name, name, clause, error",
+    [
+        ("fol2ll", "neg", Op("bang", (), (Placeholder(1),)), OffsetMismatch),
+        # forall's argument binds one variable: offset 0 and offset 2 both fail
+        ("fol2ll", "forall", Placeholder(0), OffsetMismatch),
+        ("fol2ll", "forall", Op("forall", (), (Op("forall", (), (Placeholder(0),)),)), OffsetMismatch),
+        ("fol2ll", "neg", Op("with", (), (Placeholder(0), Var(0))), ScopeError),
+        ("fol2ll", "neg", Op("bang", (), (Placeholder(0), Placeholder(0))), ArityMismatch),
+        ("fol2ll", "neg", Op("bang", (), ("ph 0",)), IllFormed),
+        # app<a,b>'s arguments swapped: the argument at sort a where a -> b is due
+        (
+            "identity stlc",
+            "app",
+            Op("app", (ParamRef(0), ParamRef(1)), (Placeholder(1), Placeholder(0))),
+            SortMismatch,
+        ),
+    ],
+    ids=[
+        "neg-placeholder-out-of-range",
+        "forall-too-few-binders",
+        "forall-too-many-binders",
+        "neg-variable-escapes",
+        "neg-argument-count",
+        "neg-not-a-term",
+        "app-placeholder-at-wrong-sort",
+    ],
+)
+def test_clause_fault_rejected(table_name, name, clause, error):
+    table = builtin_table(table_name) if table_name == "fol2ll" else identity_table(builtin("stlc"))
+    clauses = dict(table.clauses)
+    clauses[name] = clause
+    with pytest.raises(error) as caught:
+        make_table(table.source, table.target, table.morphism, clauses)
+    assert str(caught.value).startswith(f"{name}: ")
 
 
 def test_identity_table_is_valid(ulc, fol, stlc):
