@@ -26,9 +26,9 @@ from .term import (
     Op,
     Term,
     Var,
+    _Scope,
     _walk,
     chain_count,
-    ctx_extend,
     enumerate_terms,
     mk_op,
     mk_var,
@@ -67,7 +67,10 @@ class ModelSpec:
                                            of src, each over dst
     show(value)                         -- rendering used in law reports
 
-    All operations must be pure; values must support ``==``.
+    All operations must be pure; values must support ``==``.  A fold
+    passes contexts as sequences that compare and hash equal to the tuple
+    ``bound ++ ctx``; materialising one (``tuple(ctx)``, hashing, slicing,
+    iterating) costs its length.
     """
 
     name: str
@@ -84,7 +87,7 @@ def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
     def node(ctx, t, arity, vals):
         return op_interp(ctx, t.name, t.params, tuple(vals))
 
-    return _walk(sig, t, tuple(ctx), model.var_op, node, ctx_extend)
+    return _walk(sig, t, tuple(ctx), model.var_op, node, _Scope)
 
 
 def term_model(sig: Signature) -> ModelSpec:

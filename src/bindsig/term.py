@@ -5,6 +5,10 @@ term over ``bound ++ ctx`` sees the freshly bound variables at indices
 ``0 .. len(bound)-1``.  Terms store only (schema, params, args);
 well-formedness is a judgment checked against a signature, a context and
 an expected sort, which keeps structural sharing and equality cheap.
+Every walk that needs a context (checking, folds, checked construction)
+starts from the caller's tuple and enters a binder by linking its group
+to the context around it, at the group's cost, so the walks stay linear
+under any binder nesting.
 
 ``Var`` and ``Op`` are hand-rolled slotted classes.  An operator
 computes its structural hash on first use and keeps it, so the walks,
@@ -24,10 +28,11 @@ once on the node it has just built.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from typing import Sequence, Union
+from itertools import chain, product
+from typing import Union
 
 from .errors import (
     ArityMismatch,
@@ -199,6 +204,68 @@ def _fill_hash(t: Op) -> int:
 # Contexts and checked construction
 
 
+class _Scope(Sequence):
+    """The context ``group ++ outer``: a binder group over a context, a tuple
+    or a scope, made at the group's cost.  It compares and hashes equal to
+    the tuple it stands for, which it builds when asked, at most once."""
+
+    __slots__ = ("outer", "group", "size", "_flat")
+
+    def __init__(self, outer: Context | _Scope, group: Context):
+        self.outer, self.group, self._flat = outer, group, None
+        self.size = len(group) + (outer.size if type(outer) is _Scope else len(outer))
+
+    @property
+    def flat(self) -> Context:
+        if self._flat is None:
+            groups, scope = [], self
+            while type(scope) is _Scope and scope._flat is None:
+                groups.append(scope.group)
+                scope = scope.outer
+            groups.append(scope if type(scope) is tuple else scope._flat)
+            self._flat = tuple(chain.from_iterable(groups))
+        return self._flat
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        return _lookup(self, i) if type(i) is int and 0 <= i < self.size else self.flat[i]
+
+    def __iter__(self):
+        return iter(self.flat)
+
+    def __eq__(self, other):
+        if type(other) is _Scope and self.outer is other.outer:
+            return self.group == other.group
+        return self.flat == other
+
+    def __hash__(self):
+        return hash(self.flat)
+
+    def __add__(self, other):
+        return self.flat + other
+
+    def __radd__(self, other):
+        return other + self.flat
+
+    def __repr__(self):
+        return repr(self.flat)
+
+
+def _lookup(ctx: Context | _Scope, i: int) -> Sort:
+    """Entry ``i`` of a context, down its scope chain; ScopeError if none."""
+    scope, j = ctx, i
+    while type(scope) is _Scope:
+        if 0 <= j < len(scope.group):
+            return scope.group[j]
+        j -= len(scope.group)
+        scope = scope.outer
+    if 0 <= j < len(scope):
+        return scope[j]
+    raise ScopeError(f"variable {i} out of scope in a context of size {len(ctx)}")
+
+
 def check_context(types: TypeSystem, ctx: Sequence[Sort]) -> Context:
     ctx = tuple(ctx)
     for s in ctx:
@@ -218,8 +285,7 @@ def ctx_extend(ctx: Sequence[Sort], bound: Sequence[Sort], types: TypeSystem | N
 
 
 def mk_var(ctx: Sequence[Sort], index: int) -> tuple[Term, Sort]:
-    ctx = tuple(ctx)
-    return Var(index), _scope_lookup((ctx, None, len(ctx)), index)
+    return Var(index), _lookup(tuple(ctx), index)
 
 
 def mk_op(
@@ -239,32 +305,30 @@ def mk_op(
     (``sig``, ``ctx``, sort) as its certificate: well-formedness depends
     only on these and the term, all immutable, so it never goes stale.
     """
-    ctx = tuple(ctx)
+    ctx = ctx if type(ctx) is _Scope else tuple(ctx)
     t = Op(name, tuple(params), tuple(args))
     arity = sig._cache.get(("arity", name, t.params)) or sig.arity(name, t.params)
     if len(t.args) != len(arity.inputs):
         raise ArityMismatch(f"{name} expects {len(arity.inputs)} argument(s), got {len(t.args)}")
     found = []
     for inp, v in zip(arity.inputs, t.args):
-        c = inp.bound + ctx if inp.bound else ctx
-        scope = (c, None, len(c))
+        c = _Scope(ctx, inp.bound) if inp.bound else ctx
         if type(v) is Var:
-            found.append(_scope_lookup(scope, v.index))
+            found.append(_lookup(c, v.index))
         else:
-            found.append(_certified(sig, scope, v) or _infer(sig, c, v, partial(_certified, sig)))
+            found.append(_certified(sig, c, v) or _infer(sig, c, v, partial(_certified, sig)))
     sort = _check_args(None, t, arity, found)
     t._cert = (sig, ctx, sort)
     return t, sort
 
 
-def _certified(sig: Signature, scope, t: Term) -> Sort | None:
-    """The sort on ``t``'s certificate if it holds under ``sig`` over the
-    scope's context, else None: ``_walk``'s ``known`` for such checks."""
+def _certified(sig: Signature, scope: Context | _Scope, t: Term) -> Sort | None:
+    """The sort on ``t``'s certificate if it holds under ``sig`` over
+    ``scope``, else None: ``_walk``'s ``known`` for such checks."""
     cert = t._cert if type(t) is Op else None
     if cert is None or cert[0] is not sig:
         return None
-    ctx = _scope_context(scope)
-    return cert[2] if cert[1] is ctx or cert[1] == ctx or _loose_bound(t) == 0 else None
+    return cert[2] if cert[1] is scope or cert[1] == scope or _loose_bound(t) == 0 else None
 
 
 def _loose_bound(t: Term) -> int:
@@ -367,35 +431,8 @@ def _check_args(scope, t: Op, arity, found) -> Sort:
     return arity.output
 
 
-# Type checking walks with a scope: the context's sorts, then one link per
-# binder group, so entering a binder costs its own size, not the context's.
-def _scope_lookup(scope, i: int) -> Sort:
-    sorts, outer, size = scope
-    if not (0 <= i < size):
-        raise ScopeError(f"variable {i} out of scope in a context of size {size}")
-    while i >= len(sorts):
-        i -= len(sorts)
-        sorts, outer, size = outer
-    return sorts[i]
-
-
-def _scope_bind(scope, bound):
-    return bound, scope, scope[2] + len(bound)
-
-
-def _scope_context(scope) -> Context:
-    """The context a scope stands for: its binder groups, innermost first."""
-    if scope[1] is None:
-        return scope[0]
-    groups = []
-    while scope is not None:
-        groups.append(scope[0])
-        scope = scope[1]
-    return tuple(s for group in groups for s in group)
-
-
-def _infer(sig: Signature, ctx: Context, t: Term, known=None) -> Sort:
-    return _walk(sig, t, (ctx, None, len(ctx)), _scope_lookup, _check_args, _scope_bind, known)
+def _infer(sig: Signature, ctx: Context | _Scope, t: Term, known=None) -> Sort:
+    return _walk(sig, t, ctx, _lookup, _check_args, _Scope, known)
 
 
 def sort_of(sig: Signature, ctx: Sequence[Sort], t: Term) -> Sort:

@@ -27,6 +27,7 @@ from .errors import (
     BindsigError,
     MissingClause,
     OffsetMismatch,
+    ParamArityMismatch,
     SortMismatch,
     TypeSystemMismatch,
     UnknownBuiltin,
@@ -44,7 +45,7 @@ from .sigdef import (
     print_sort,
     sorts_up_to_depth,
 )
-from .term import Context, Op, Term, Var, _infer, _read_term, _scope_context, _walk
+from .term import Context, Op, Term, Var, _infer, _read_term, _walk
 
 __all__ = [
     "TypeMorphism",
@@ -175,21 +176,20 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
         if not (0 <= j < len(images)):
             raise OffsetMismatch(f"placeholder {j} out of range")
         bound, sort = images[j]
-        accum = _scope_context(scope)
-        if accum != bound:
+        if scope != bound:
             raise OffsetMismatch(
                 f"placeholder {j} sits under binder extension "
-                f"{[print_sort(s) for s in accum]}, "
+                f"{[print_sort(s) for s in scope]}, "
                 f"expected {[print_sort(s) for s in bound]}"
             )
         return sort
 
     # Sort parameters pass through the type morphism, nat parameters unchanged.
     values = tuple(p if isinstance(p, int) else g.apply(p) for p in source_params)
-    clause = _resolve(template, values)
     try:
+        clause = _resolve(template, values)
         # A clause is a closed target term but for its placeholders.
-        sort = image_sort(((), None, 0), clause) or _infer(target, (), clause, image_sort)
+        sort = image_sort((), clause) or _infer(target, (), clause, image_sort)
         expected = g.apply(arity.output)
         if sort != expected:
             raise SortMismatch(
@@ -216,6 +216,9 @@ def _resolve(template: Template, values: tuple) -> Template:
             done.append(a)
         else:
             frames.pop()
+            for p in t.params:
+                if isinstance(p, ParamRef) and not 0 <= p.index < len(values):
+                    raise ParamArityMismatch(f"{p} out of range for {len(values)} parameter(s)")
             params = tuple(values[p.index] if isinstance(p, ParamRef) else p for p in t.params)
             value = Op(t.name, params, tuple(done))
             if not frames:

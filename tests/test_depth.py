@@ -4,11 +4,13 @@ Every layer walks terms on an explicit stack, so a 100 000-deep chain goes
 through parse, print, checking, substitution, renaming, folds, translation,
 equality and hashing, and a translation clause thousands of nodes deep is
 read, checked and compiled.  Expected values are built by plain loops, not
-by the library's traversal.  Folds into models run on binder-free chains: a
-model receives every node's context as a tuple, so a fold over n nested
-binders builds contexts of total size n^2 / 2.  Folding a chain into the
-term model gives the chain back, checking each node once.
+by the library's traversal.  Folds run under 50 000 nested binders too: a
+walk enters a binder at the cost of its own group, and a model's context
+becomes a tuple only when the model asks for one.  Folding a term into the
+term model gives it back, checking each node once.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -45,11 +47,12 @@ CTX = (STAR,)
 TARGET = (STAR, STAR)
 
 
-def spine(leaf):
-    """ulc: ``abs (app <spine> (var 0))``, N deep, N/2 binders above ``leaf``."""
+def spine(leaf, binders=N // 2, wrap=False):
+    """ulc: ``abs (app <spine> (var 0))``, N deep, N/2 binders above ``leaf``;
+    with ``wrap``, each ``<spine>`` sits under the label ``wrap``."""
     t = leaf
-    for _ in range(N // 2):
-        t = Op("abs", (), (Op("app", (), (t, Var(0))),))
+    for _ in range(binders):
+        t = Op("abs", (), (Op("app", (), (Op("wrap", (), (t,)) if wrap else t, Var(0))),))
     return t
 
 
@@ -136,6 +139,35 @@ def test_deep_folds():
     for _ in range(N // 2):
         unwrapped = Op("succ", (), (unwrapped,))
     assert free_extend(term_model(nat), nat, family, {"wrap": Var(0)}, CTX, labelled) == unwrapped
+
+    ulc = builtin("ulc")
+    t = spine(Var(N // 2))
+    assert fold(fv_model(ulc), ulc, CTX, t) == {0}
+    assert fold(term_model(ulc), ulc, CTX, t) == t
+    family = OperatorFamily.untyped(ulc, {"wrap": 1})
+    labelled = spine(Var(N // 2), wrap=True)
+    assert free_extend(term_model(ulc), ulc, family, {"wrap": Var(0)}, CTX, labelled) == t
+
+
+def test_folds_under_binders_take_linear_memory():
+    # Each of 4 000 nested binders used to hand its model a fresh tuple of
+    # the whole context: 8 M entries, some 62 MiB at the peak.
+    ulc = builtin("ulc")
+    family = OperatorFamily.untyped(ulc, {"wrap": 1})
+    t = spine(Var(4_000), binders=4_000)
+    runs = {
+        "fv": lambda: fold(fv_model(ulc), ulc, CTX, t),
+        "term": lambda: fold(term_model(ulc), ulc, CTX, t),
+        "free_extend": lambda: free_extend(term_model(ulc), ulc, family, {"wrap": Var(0)}, CTX, t),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (name, peak)
 
 
 def alternating(depth, leaf):

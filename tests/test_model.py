@@ -16,10 +16,12 @@ from bindsig import (
     check_module_laws,
     check_monoid_laws,
     check_morphism,
+    ctx_extend,
     enumerate_terms,
     fold,
     fv_model,
     mk_op,
+    print_context,
     print_term,
     rename,
     sample_suite,
@@ -70,6 +72,37 @@ def test_fv_closed_term(ulc):
 def test_fv_plain_variable(ulc):
     m = fv_model(ulc)
     assert fold(m, ulc, (STAR,) * 3, Var(2)) == frozenset({2})
+
+
+def test_models_see_tuple_like_contexts(stlc):
+    # (op abs<iota,iota> (op app<iota,iota> (op abs<iota,iota> (var 0)) (var 2))) over (ARR, IOTA)
+    inner = Op("abs", (IOTA, IOTA), (Var(0),))
+    t = Op("abs", (IOTA, IOTA), (Op("app", (IOTA, IOTA), (inner, Var(2))),))
+    root = (ARR, IOTA)
+    seen = []
+    model = ModelSpec(
+        "record",
+        lambda ctx, i: seen.append(ctx),
+        lambda ctx, name, params, vals: seen.append(ctx),
+        lambda src, dst, value, images: None,
+    )
+    fold(model, stlc, root, t)
+    # post-order: var 0, abs, var 2, app, abs, each under its binders
+    one = ctx_extend(root, (IOTA,))
+    two = ctx_extend(one, (IOTA,))
+    expected = [two, one, one, one, root]
+    assert len(seen) == len(expected)
+    bound = (ARR,)
+    for ctx, want in zip(seen, expected):
+        assert ctx == want and want == ctx and not ctx != want and hash(ctx) == hash(want)
+        assert {want: 1}[ctx] == 1
+        assert len(ctx) == len(want)
+        assert (ctx[0], ctx[-1], ctx[:1], ctx[1:]) == (want[0], want[-1], want[:1], want[1:])
+        assert bound + ctx == bound + want and ctx + bound == want + bound
+        assert tuple(ctx) == want and list(ctx) == list(want)
+        assert ARR in ctx and IOTA in ctx and STAR not in ctx
+        assert print_context(ctx) == print_context(want)
+    assert seen[0] != seen[1] and seen[1] != root
 
 
 def test_fv_requires_untyped(stlc):

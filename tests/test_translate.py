@@ -32,6 +32,7 @@ from bindsig.errors import (
     IllFormed,
     MissingClause,
     OffsetMismatch,
+    ParamArityMismatch,
     ScopeError,
     SortMismatch,
     TypeSystemMismatch,
@@ -128,6 +129,13 @@ def test_missing_clause_rejected(fol, ll):
             Op("app", (ParamRef(0), ParamRef(1)), (Placeholder(1), Placeholder(0))),
             SortMismatch,
         ),
+        # abs<s,t> has two parameters
+        (
+            "identity stlc",
+            "abs",
+            Op("abs", (ParamRef(0), ParamRef(5)), (Placeholder(0),)),
+            ParamArityMismatch,
+        ),
     ],
     ids=[
         "neg-placeholder-out-of-range",
@@ -137,6 +145,7 @@ def test_missing_clause_rejected(fol, ll):
         "neg-argument-count",
         "neg-not-a-term",
         "app-placeholder-at-wrong-sort",
+        "abs-parameter-out-of-range",
     ],
 )
 def test_clause_fault_rejected(table_name, name, clause, error):
