@@ -250,22 +250,6 @@ class Sample:
     ren: Optional[Renaming] = None
 
 
-def _contexts_for(sig: Signature, sizes: Sequence[int]) -> list[Context]:
-    if sig.types.untyped:
-        star = sig.types.single_sort()
-        return [(star,) * n for n in sizes]
-    # Typed signatures: repeat the first base sort; enough for a
-    # deterministic representative suite.
-    base = BaseSort(sig.types.base_sorts[0])
-    return [(base,) * n for n in sizes]
-
-
-def _sort_pool(sig: Signature, max_sort_depth):
-    if sig.types.untyped:
-        return [sig.types.single_sort()]
-    return sorts_up_to_depth(sig.types, min(max_sort_depth or 1, 1))
-
-
 def sample_suite(
     sig: Signature,
     depth: int = 3,
@@ -286,8 +270,11 @@ def sample_suite(
     terms at ``random_depth`` with random assignment images.
     """
     rng = XorShift64Star(seed)
-    contexts = _contexts_for(sig, ctx_sizes)
-    sorts = _sort_pool(sig, max_sort_depth)
+    # Contexts repeat the first base sort: enough for a deterministic
+    # representative suite.
+    base = BaseSort(sig.types.base_sorts[0])
+    contexts = [(base,) * n for n in ctx_sizes]
+    sorts = sorts_up_to_depth(sig.types, min(max_sort_depth or 1, 1))
     samples: list[Sample] = []
 
     def assignments(src: Context, dst: Context, cap: int) -> list[Assignment]:
@@ -390,8 +377,8 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
             except Exception as e:  # noqa: BLE001
                 hit = (None, e)
             memo[ctx, t] = hit
-        if hit[1] is not None:
-            raise hit[1]
+        if hit[1] is not None:  # without the frames of its earlier raises
+            raise hit[1].with_traceback(None)
         return hit[0]
 
     for sample in samples:

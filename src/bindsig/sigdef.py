@@ -125,20 +125,30 @@ UNTYPED = TypeSystem(("*",))
 STAR = BaseSort("*")
 
 
-def check_sort(types: TypeSystem, sort: Sort) -> None:
+def check_sort(types: TypeSystem, sort: Sort, schema: ConstructorSchema | None = None) -> None:
     """Raise MalformedSort unless ``sort`` is a well-formed sort of ``types``.
 
-    A SortRef is not a sort; schema templates are checked by
-    :func:`make_signature`.
+    With ``schema``, ``sort`` is one of its arity templates, whose SortRef
+    leaves must name its sort parameters (ParamKindMismatch for a nat
+    one); without, a SortRef is no sort.
     """
     if isinstance(sort, BaseSort):
         if sort.name not in types.base_sorts:
             raise MalformedSort(f"unknown base sort {sort.name!r}")
     elif isinstance(sort, ArrowSort):
         if not types.arrow_enabled:
+            if schema is not None:
+                raise MalformedSort(f"{schema.name}: arrow sort but arrows are disabled")
             raise MalformedSort("arrow sort in a type system without arrows")
-        check_sort(types, sort.domain)
-        check_sort(types, sort.codomain)
+        check_sort(types, sort.domain, schema)
+        check_sort(types, sort.codomain, schema)
+    elif isinstance(sort, SortRef) and schema is not None:
+        if not (0 <= sort.index < len(schema.params)):
+            raise MalformedSort(f"{schema.name}: parameter reference out of range")
+        if schema.params[sort.index].kind != "sort":
+            raise ParamKindMismatch(
+                f"{schema.name}: parameter {schema.params[sort.index].name} used as a sort"
+            )
     else:
         raise MalformedSort(f"not a sort: {sort!r}")
 
@@ -228,7 +238,8 @@ def instantiate(schema: ConstructorSchema, args: Sequence, types: TypeSystem | N
     """Concrete arity of ``schema`` at the parameter instantiation ``args``.
 
     Sort parameters take a Sort, nat parameters a non-negative int.  When
-    ``types`` is given the resulting sorts are checked against it.
+    ``types`` is given the sort parameters and the resulting sorts are
+    checked against it.
     """
     args = tuple(args)
     if len(args) != len(schema.params):
@@ -238,6 +249,8 @@ def instantiate(schema: ConstructorSchema, args: Sequence, types: TypeSystem | N
     for p, a in zip(schema.params, args):
         if p.kind == "sort" and not isinstance(a, (BaseSort, ArrowSort)):
             raise ParamKindMismatch(f"parameter {p.name} of {schema.name} expects a sort")
+        if p.kind == "sort" and types is not None:  # also those the arity does not mention
+            check_sort(types, a)
         if p.kind == "nat" and not (isinstance(a, int) and a >= 0):
             raise ParamKindMismatch(f"parameter {p.name} of {schema.name} expects a natural")
     inputs = tuple(
@@ -303,28 +316,10 @@ def make_signature(types: TypeSystem, schemas: Iterable[ConstructorSchema]) -> S
         seen.add(s.name)
         for inp in s.inputs:
             for b in inp.bound:
-                _check_template(types, s, b)
-            _check_template(types, s, inp.sort)
-        _check_template(types, s, s.output)
+                check_sort(types, b, s)
+            check_sort(types, inp.sort, s)
+        check_sort(types, s.output, s)
     return Signature(types, schemas)
-
-
-def _check_template(types: TypeSystem, schema: ConstructorSchema, tpl: SortTemplate) -> None:
-    if isinstance(tpl, SortRef):
-        if not (0 <= tpl.index < len(schema.params)):
-            raise MalformedSort(f"{schema.name}: parameter reference out of range")
-        if schema.params[tpl.index].kind != "sort":
-            raise ParamKindMismatch(
-                f"{schema.name}: parameter {schema.params[tpl.index].name} used as a sort"
-            )
-        return
-    if isinstance(tpl, ArrowSort):
-        if not types.arrow_enabled:
-            raise MalformedSort(f"{schema.name}: arrow sort but arrows are disabled")
-        _check_template(types, schema, tpl.domain)
-        _check_template(types, schema, tpl.codomain)
-        return
-    check_sort(types, tpl)
 
 
 def sum_signatures(a: Signature, b: Signature) -> Signature:

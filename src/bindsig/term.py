@@ -207,13 +207,17 @@ def _fill_hash(t: Op) -> int:
 class _Scope(Sequence):
     """The context ``group ++ outer``: a binder group over a context, a tuple
     or a scope, made at the group's cost.  It compares and hashes equal to
-    the tuple it stands for, which it builds when asked, at most once."""
+    the tuple it stands for, which it builds when asked, at most once.
+    ``root`` is the context at the bottom of its chain, whose entries come
+    after the ``inner`` ones its binder groups hold."""
 
-    __slots__ = ("outer", "group", "size", "_flat")
+    __slots__ = ("outer", "group", "size", "root", "inner", "_flat")
 
     def __init__(self, outer: Context | _Scope, group: Context):
         self.outer, self.group, self._flat = outer, group, None
-        self.size = len(group) + (outer.size if type(outer) is _Scope else len(outer))
+        self.root, inner = (outer.root, outer.inner) if type(outer) is _Scope else (outer, 0)
+        self.inner = inner + len(group)
+        self.size = self.inner + len(self.root)
 
     @property
     def flat(self) -> Context:
@@ -254,8 +258,11 @@ class _Scope(Sequence):
 
 
 def _lookup(ctx: Context | _Scope, i: int) -> Sort:
-    """Entry ``i`` of a context, down its scope chain; ScopeError if none."""
+    """Entry ``i`` of a context, down its scope chain or, for an entry of
+    the chain's root, in the root at once; ScopeError if none."""
     scope, j = ctx, i
+    if type(scope) is _Scope and i >= scope.inner:
+        scope, j = scope.root, i - scope.inner
     while type(scope) is _Scope:
         if 0 <= j < len(scope.group):
             return scope.group[j]
@@ -476,10 +483,6 @@ def instantiations(
     hit = sig._cache.get(key)
     if hit is not None:
         return hit
-    if not schema.params:
-        out = (((), sig.arity(schema_name, ())),)
-        sig._cache[key] = out
-        return out
     pools = []
     for p in schema.params:
         if p.kind == "sort":

@@ -7,14 +7,14 @@ image of its input's bound list, so substituting the translated argument
 needs no shifting and capture-avoidance is automatic.  Variables
 translate to themselves because the context image is pointwise.
 
-Each clause is checked at a parameter instantiation on first use by the
-term checker, as a closed target term whose placeholders stand for their
-inputs' image sorts under exactly their image binders; its errors carry
-the clause's operator name as a prefix.  It is then compiled into a
-builder that makes one node per template node holding a placeholder;
-placeholder-free template parts are built once and shared by every
-output.  Clauses are walked on explicit stacks, so they may be deeper
-than the Python stack.
+Each clause is checked and compiled at a parameter instantiation on
+first use, in one walk of the term checker: it is a closed target term
+whose placeholders stand for their inputs' image sorts under exactly
+their image binders, and its errors carry the clause's operator name as
+a prefix.  The same walk compiles it into a builder that makes one node
+per template node holding a placeholder; placeholder-free template parts
+are built once and shared by every output.  Clauses are walked on
+explicit stacks, so they may be deeper than the Python stack.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .sigdef import (
     print_sort,
     sorts_up_to_depth,
 )
-from .term import Context, Op, Term, Var, _infer, _read_term, _walk
+from .term import Context, Op, Term, Var, _check_args, _lookup, _read_term, _Scope, _walk
 
 __all__ = [
     "TypeMorphism",
@@ -155,8 +155,15 @@ class TranslationTable:
 
 def _clause_at(table: TranslationTable, name: str, source_params: tuple):
     """The clause of ``name`` at ``source_params``, its parameters resolved,
-    checked by the term checker on first use and memoised as a builder: a
-    function from the translated arguments to the output."""
+    checked and compiled on first use and memoised as a builder: a function
+    from the translated arguments to the output.
+
+    One walk of the term checker does both.  Each node's value is its sort
+    and its entry in the list the builder fills: the translated arguments,
+    then the entries made here, post-order.  A placeholder-free part is
+    made once, here, and shared by every output; a node holding a
+    placeholder is made per call from the entries it picks by position.
+    """
     key = (name, source_params)
     hit = table._checked.get(key)
     if hit is not None:
@@ -165,15 +172,34 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
         template = table.clauses[name]
     except KeyError:
         raise MissingClause(f"no clause for source operator {name!r}") from None
-    g, target = table.morphism, table.target
+    g = table.morphism
     arity = table.source.arity(name, source_params)
     images = [(map_context(g, inp.bound), g.apply(inp.sort)) for inp in arity.inputs]
+    n = len(images)
+    entries, steps = [], []  # entries after the arguments; one step per node made per call
 
-    def image_sort(scope, t):  # the checker's ``known``: a placeholder's image sort
+    def entry(value) -> int:  # where the list holds the value
+        entries.append(value)
+        return n + len(entries) - 1
+
+    def var(scope, i):
+        return _lookup(scope, i), entry(Var(i))
+
+    def node(scope, t: Op, arity, vals):
+        sort = _check_args(scope, t, arity, [v[0] for v in vals])
+        picks = [v[1] for v in vals]
+        if all(p >= n and entries[p - n] is not None for p in picks):  # no placeholder below t
+            del entries[len(entries) - len(picks) :]  # the arguments' entries are the last ones
+            return sort, entry(t)
+        at = entry(None)  # filled per call
+        steps.append((t.name, t.params, itemgetter(*picks), len(picks) == 1, at))
+        return sort, at
+
+    def placeholder(scope, t):  # the walk's ``known``: a placeholder's image sort and position
         if type(t) is not Placeholder:
             return None
         j = t.index
-        if not (0 <= j < len(images)):
+        if not (0 <= j < n):
             raise OffsetMismatch(f"placeholder {j} out of range")
         bound, sort = images[j]
         if scope != bound:
@@ -182,14 +208,16 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
                 f"{[print_sort(s) for s in scope]}, "
                 f"expected {[print_sort(s) for s in bound]}"
             )
-        return sort
+        return sort, j
 
     # Sort parameters pass through the type morphism, nat parameters unchanged.
     values = tuple(p if isinstance(p, int) else g.apply(p) for p in source_params)
     try:
         clause = _resolve(template, values)
         # A clause is a closed target term but for its placeholders.
-        sort = image_sort((), clause) or _infer(target, (), clause, image_sort)
+        sort, root = placeholder((), clause) or _walk(
+            table.target, clause, (), var, node, _Scope, placeholder
+        )
         expected = g.apply(arity.output)
         if sort != expected:
             raise SortMismatch(
@@ -197,8 +225,16 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
             )
     except BindsigError as e:
         raise type(e)(f"{name}: {e}") from None
-    hit = table._checked[key] = _compile(target, clause, len(images))
-    return hit
+
+    def build(translated: list) -> Term:
+        out = translated + entries
+        for name, params, pick, single, at in steps:
+            args = pick(out)
+            out[at] = Op(name, params, (args,) if single else args)
+        return out[root]
+
+    table._checked[key] = build
+    return build
 
 
 def _resolve(template: Template, values: tuple) -> Template:
@@ -224,49 +260,6 @@ def _resolve(template: Template, values: tuple) -> Template:
             if not frames:
                 return value
             frames[-1][2].append(value)
-
-
-def _compile(target: Signature, clause: Template, n: int):
-    """A builder for a checked clause of ``n`` placeholders.
-
-    The builder fills a list: the translated arguments, then the entries
-    made here, post-order.  A placeholder-free part is made once, here,
-    and shared by every output; a node holding a placeholder is made per
-    call from the entries it picks by position.
-    """
-    entries, steps = [], []  # entries after the arguments; one step per node made per call
-
-    def entry(value) -> int:  # where the list holds the value
-        entries.append(value)
-        return n + len(entries) - 1
-
-    def node(env, t: Op, arity, picks) -> int:
-        k = len(picks)
-        if all(p >= n and entries[p - n] is not None for p in picks):  # no placeholder below t
-            del entries[len(entries) - k :]  # the arguments' entries are the last k
-            return entry(t)
-        at = entry(None)  # filled per call
-        steps.append((t.name, t.params, itemgetter(*picks), k == 1, at))
-        return at
-
-    def placeholder(env, t):
-        return t.index if type(t) is Placeholder else None
-
-    def var(env, i) -> int:
-        return entry(Var(i))
-
-    root = placeholder(None, clause)
-    if root is None:
-        root = _walk(target, clause, None, var, node, lambda env, bound: None, placeholder)
-
-    def build(translated: list) -> Term:
-        out = translated + entries
-        for name, params, pick, single, at in steps:
-            args = pick(out)
-            out[at] = Op(name, params, (args,) if single else args)
-        return out[root]
-
-    return build
 
 
 def make_table(

@@ -10,6 +10,7 @@ becomes a tuple only when the model asks for one.  Folding a term into the
 term model gives it back, checking each node once.
 """
 
+import time
 import tracemalloc
 
 import pytest
@@ -168,6 +169,23 @@ def test_folds_under_binders_take_linear_memory():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, (name, peak)
+
+
+def test_variables_of_the_callers_context_are_found_at_once():
+    # abs (app <spine> (var L)), where var L names CTX's one entry at every
+    # level: looked up through one link per binder, this took seconds at
+    # 8 000 levels and grew with the square of the depth.
+    ulc = builtin("ulc")
+    levels = 20_000
+    t = Var(levels)
+    for k in range(levels, 0, -1):
+        t = Op("abs", (), (Op("app", (), (t, Var(k))),))
+    started = time.perf_counter()
+    assert sort_of(ulc, CTX, t) == STAR
+    assert time.perf_counter() - started < 5
+    started = time.perf_counter()
+    assert fold(term_model(ulc), ulc, CTX, t) == t
+    assert time.perf_counter() - started < 5
 
 
 def alternating(depth, leaf):

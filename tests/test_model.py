@@ -401,6 +401,35 @@ def test_reports_of_models_that_raise(ulc, suite, make):
     assert len(report.failures) == sum(1 + (s.ren is not None) for s in samples)
 
 
+def test_memoised_fold_errors_keep_short_tracebacks(ulc):
+    # A memoised fold error is raised again on every hit; each raise used to
+    # add its frames to the one stored exception (2 203 over this suite).
+    m = term_model(ulc)
+
+    def op_interp(ctx, name, params, vals):
+        if name == "abs":
+            raise ValueError("abs refused")
+        return m.op_interp(ctx, name, params, vals)
+
+    kept = []
+
+    def spy_fold(model, sig, ctx, t):
+        try:
+            return fold(model, sig, ctx, t)
+        except ValueError as e:
+            kept.append(e)
+            raise
+
+    no_abs = ModelSpec("term-no-abs", m.var_op, op_interp, m.msubst)
+    report = check_morphism(no_abs, ulc, sample_suite(ulc, depth=3), fold_fn=spy_fold)
+    assert not report.passed and kept
+    for e in kept:
+        entries, tb = 0, e.__traceback__
+        while tb is not None:
+            entries, tb = entries + 1, tb.tb_next
+        assert entries < 20
+
+
 # ---------------------------------------------------------------------------
 # report rendering
 

@@ -21,10 +21,13 @@ from bindsig import (
     parse_term,
     print_signature,
     print_sort,
+    sort_of,
     sum_signatures,
 )
 from bindsig.errors import (
+    BindsigError,
     DuplicateName,
+    IllFormed,
     MalformedSort,
     ParamArityMismatch,
     ParamKindMismatch,
@@ -32,6 +35,7 @@ from bindsig.errors import (
     TypeSystemMismatch,
     UnknownBuiltin,
 )
+from bindsig.sigdef import check_sort
 from bindsig.term import check_context
 
 STAR = BaseSort("*")
@@ -85,6 +89,52 @@ def test_parameter_reference_is_not_a_sort(stlc):
     # a parameter that contains a reference would give the node an unprintable sort
     with pytest.raises(MalformedSort):
         mk_op(stlc, (IOTA,), "abs", (ArrowSort(SortRef(0), IOTA), IOTA), (Var(1),))
+
+
+ARROWS = TypeSystem(("iota",), arrow_enabled=True)
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: check_sort(UNTYPED, BaseSort("missing")), MalformedSort, "unknown base sort 'missing'"),
+        (
+            lambda: check_sort(UNTYPED, ArrowSort(STAR, STAR)),
+            MalformedSort,
+            "arrow sort in a type system without arrows",
+        ),
+        (
+            lambda: make_signature(UNTYPED, [schema("c", [((), ArrowSort(STAR, STAR))])]),
+            MalformedSort,
+            "c: arrow sort but arrows are disabled",
+        ),
+        (lambda: check_sort(ARROWS, SortRef(0)), MalformedSort, "not a sort: SortRef(index=0)"),
+        (
+            lambda: make_signature(ARROWS, [schema("c", [], SortRef(1), [Param("s", "sort")])]),
+            MalformedSort,
+            "c: parameter reference out of range",
+        ),
+        (
+            lambda: make_signature(
+                ARROWS, [schema("c", [((), ArrowSort(IOTA, SortRef(0)))], IOTA, [Param("n", "nat")])]
+            ),
+            ParamKindMismatch,
+            "c: parameter n used as a sort",
+        ),
+    ],
+    ids=[
+        "unknown-base-sort",
+        "arrow-in-sort",
+        "arrow-in-template",
+        "reference-outside-template",
+        "reference-out-of-range",
+        "nat-parameter-as-sort",
+    ],
+)
+def test_sort_validator_messages(check, error, message):
+    with pytest.raises(BindsigError) as caught:
+        check()
+    assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +203,18 @@ def test_instantiate_param_kind_checked(pcf):
         instantiate(pcf.schema("k"), (BaseSort("nat"),))
     with pytest.raises(ParamKindMismatch):
         instantiate(pcf.schema("fix"), (2,))
+
+
+def test_instantiate_checks_parameters_the_arity_does_not_mention():
+    typed = parse_signature("signature s\nsorts iota with arrow\nop foo<s: sort> : () -> iota\n")
+    with pytest.raises(IllFormed, match="^unknown base sort 'bogus'$"):
+        sort_of(typed, (), parse_term("(op foo<bogus>)"))
+    untyped = parse_signature("signature u\nop bar<s: sort> : () -> *\n")
+    with pytest.raises(IllFormed, match="^arrow sort in a type system without arrows$"):
+        sort_of(untyped, (), parse_term("(op bar<arrow(*,*)>)"))
+    with pytest.raises(MalformedSort):
+        instantiate(untyped.schema("bar"), (ArrowSort(STAR, STAR),), untyped.types)
+    assert instantiate(untyped.schema("bar"), (STAR,), untyped.types).output == STAR
 
 
 def test_builtin_parameter_free_schemas_instantiate():
