@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from bindsig.cli import main
 
@@ -132,6 +135,21 @@ def test_laws_records_format(capsys):
 
 # ---------------------------------------------------------------------------
 # subst
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("--sig ulc --depth 3 --seed 42 --cases 200", "14593d4ee5d9"),
+        ("--sig stlc --depth 3 --max-sort-depth 1", "f25a43c1d3f8"),
+        ("--sig pcf --depth 2 --max-sort-depth 1", "8f9b4a45cb66"),
+        ("--sig fol --depth 2 --model fv", "2537a6af60d3"),
+    ],
+)
+def test_law_records_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "laws", *argv.split(), "--format", "records")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
 
 
 def test_subst_worked_example(capsys):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from bindsig import (
@@ -11,6 +14,7 @@ from bindsig import (
     UNTYPED,
     Var,
     builtin,
+    enumerate_terms,
     instantiate,
     make_signature,
     mk_op,
@@ -35,7 +39,7 @@ from bindsig.errors import (
     TypeSystemMismatch,
     UnknownBuiltin,
 )
-from bindsig.sigdef import check_sort
+from bindsig.sigdef import check_sort, sorts_up_to_depth
 from bindsig.term import check_context
 
 STAR = BaseSort("*")
@@ -261,6 +265,86 @@ def test_builtin_unknown():
         builtin("mystery")
 
 
+# The printed text pins each builtin's schemas and their order, which fixes
+# enumeration order and so every golden count.
+BUILTIN_TEXTS = {
+    "ulc": """signature ulc
+op app : (*, *) -> *
+op abs : ([*] *) -> *
+""",
+    "nat": """signature nat
+op zero : () -> *
+op succ : (*) -> *
+""",
+    "fol": """signature fol
+op top : () -> *
+op bot : () -> *
+op neg : (*) -> *
+op and : (*, *) -> *
+op or : (*, *) -> *
+op imp : (*, *) -> *
+op forall : ([*] *) -> *
+op exists : ([*] *) -> *
+""",
+    "ll": """signature ll
+op top : () -> *
+op bot : () -> *
+op zero : () -> *
+op one : () -> *
+op bang : (*) -> *
+op whynot : (*) -> *
+op with : (*, *) -> *
+op parr : (*, *) -> *
+op tensor : (*, *) -> *
+op oplus : (*, *) -> *
+op lolli : (*, *) -> *
+op forall : ([*] *) -> *
+op exists : ([*] *) -> *
+""",
+    "stlc": """signature stlc
+sorts iota with arrow
+op app<s: sort, t: sort> : (arrow(s,t), s) -> t
+op abs<s: sort, t: sort> : ([s] t) -> arrow(s,t)
+""",
+    "pcf": """signature pcf
+sorts nat | bool with arrow
+op true : () -> bool
+op false : () -> bool
+op if_bool : (arrow(bool,arrow(bool,bool))) -> bool
+op if_nat : (arrow(bool,arrow(nat,nat))) -> nat
+op k<n: nat> : () -> nat
+op succ : (nat) -> nat
+op pred : (nat) -> nat
+op zero_test : (nat) -> bool
+op app<s: sort, t: sort> : (arrow(s,t), s) -> t
+op abs<s: sort, t: sort> : ([s] t) -> arrow(s,t)
+op fix<s: sort> : (arrow(s,s)) -> s
+""",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_TEXTS)
+def test_builtin_prints_as_pinned(name):
+    assert print_signature(builtin(name), name) == BUILTIN_TEXTS[name]
+
+
+@pytest.mark.parametrize("name", BUILTIN_TEXTS)
+def test_builtin_returns_a_fresh_signature_with_a_cold_cache(name):
+    used = builtin(name)
+    enumerate_terms(used, (), sorts_up_to_depth(used.types, 0)[0], 2, 1)
+    assert used._cache
+    fresh = builtin(name)
+    assert fresh is not used and fresh == used
+    assert fresh._cache == {}
+
+
+def test_readme_signature_example_is_the_builtin_ulc():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```\n(signature ulc\n.*?)```", readme, re.DOTALL).group(1)
+    # parse_signature drops the example's operators section
+    assert parse_signature(example) == builtin("ulc")
+
+
 # ---------------------------------------------------------------------------
 # parse / print
 
@@ -349,6 +433,10 @@ STLC_TYPES = TypeSystem(("iota",), arrow_enabled=True)
                      "expected a sort, found '~/iota'", id="context-path-token"),
         pytest.param(parse_signature, "signature s\nop f : (a/b) -> *\n", 2, 9,
                      "expected a sort, found 'a/b'", id="signature-path-token"),
+        pytest.param(parse_signature, "signature s\nsorts a\nop c : () -> a\n  sorts b\n", 4, 3,
+                     "duplicate sorts declaration", id="signature-duplicate-sorts"),
+        pytest.param(parse_signature, "signature s\noperators\nop c : () -> *\n\toperators\n", 4, 2,
+                     "duplicate operators section", id="signature-duplicate-operators"),
         pytest.param(parse_table, "translate ulc -> ulc\nclause abs.sig = (op abs (ph 0))\n", 2, 8,
                      "expected ident, found 'abs.sig'", id="table-clause-path-token"),
     ],

@@ -16,6 +16,7 @@ from bindsig import (
     id_assignment,
     kleisli_compose,
     lift_assignment,
+    lift_renaming,
     make_assignment,
     mk_op,
     print_term,
@@ -152,6 +153,14 @@ def test_weaken_equals_shift_renaming(ulc):
 
 # ---------------------------------------------------------------------------
 # Lifting
+
+
+def test_lift_renaming():
+    ren = Renaming((STAR, IOTA), (IOTA, STAR, STAR), (2, 0))
+    assert lift_renaming(ren, ()) is ren
+    lifted = lift_renaming(ren, (IOTA, STAR))
+    assert lifted.mapping == (0, 1, 4, 2)
+    assert (lifted.source, lifted.target) == ((IOTA, STAR, STAR, IOTA), (IOTA, STAR, IOTA, STAR, STAR))
 
 
 def test_lift_identity_assignment_is_identity(ulc):

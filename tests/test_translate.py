@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from bindsig import (
     map_context,
     mk_op,
     parse_table,
+    print_term,
     random_term,
     rename,
     sort_of,
@@ -38,6 +40,7 @@ from bindsig.errors import (
     TypeSystemMismatch,
     UnknownBuiltin,
 )
+from bindsig.sigdef import sorts_up_to_depth
 
 STAR = BaseSort("*")
 IOTA = BaseSort("iota")
@@ -95,6 +98,21 @@ def test_homomorphic_needs_target_arrows(stlc, ulc):
 def test_collapse_needs_untyped_target(stlc):
     with pytest.raises(TypeSystemMismatch):
         TypeMorphism.collapse(stlc.types, stlc.types)
+
+
+@pytest.mark.parametrize(
+    "target, base_map, mode, message",
+    [
+        ("stlc", {"iota": IOTA}, "erase", "unknown arrow mode 'erase'"),
+        ("stlc", {"iota": IOTA}, "collapse", "collapse mode needs an untyped target"),
+        ("stlc", {}, "homomorphic", "base sort 'iota' has no image"),
+        ("ulc", {"iota": STAR}, "homomorphic", "homomorphic mode needs arrows in the target"),
+    ],
+)
+def test_type_morphism_validation_messages(stlc, target, base_map, mode, message):
+    with pytest.raises(TypeSystemMismatch) as caught:
+        TypeMorphism(stlc.types, builtin(target).types, base_map, mode)
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +182,38 @@ def test_identity_table_is_valid(ulc, fol, stlc):
 
 
 def test_unknown_builtin_table():
-    with pytest.raises(UnknownBuiltin):
-        builtin_table("ulc2fol")
+    for name in ("ulc2fol", "mystery"):
+        with pytest.raises(UnknownBuiltin):
+            builtin_table(name)
+
+
+@pytest.mark.parametrize("name", ["fol2ll", "stlc2ulc"])
+def test_builtin_table_is_fresh(name):
+    a, b = builtin_table(name), builtin_table(name)
+    assert a is not b and a == b
+    assert {id(a.source), id(a.target)}.isdisjoint({id(b.source), id(b.target)})
+
+
+@pytest.mark.parametrize(
+    "name, max_sort_depth, count, digest",
+    [
+        ("fol2ll", None, 6777, "2bd06bf0840a9ddc4d65ecc442828c409e9260b54de0cc505f3edf90078b88e8"),
+        ("stlc2ulc", 1, 18, "c600015b67fc3ca98c458c38a009e07a706466ba1816ffb488d268c0474593e3"),
+    ],
+)
+def test_builtin_table_translations_are_pinned(name, max_sort_depth, count, digest):
+    """Every source term of depth <= 3 over contexts of no or one variable,
+    at every sort of arrow depth <= max_sort_depth, translated and printed."""
+    table = builtin_table(name)
+    sorts = sorts_up_to_depth(table.source.types, max_sort_depth or 0)
+    lines = [
+        print_term(translate_term(table, ctx, t))
+        for ctx in [()] + [(s,) for s in sorts]
+        for sort in sorts
+        for t in enumerate_terms(table.source, ctx, sort, 3, max_sort_depth)
+    ]
+    assert len(lines) == count
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
 
 def test_placeholder_duplication_at_same_offset_allowed(fol, ll):
@@ -369,6 +417,32 @@ def test_parse_table_sort_error():
     bad = FOL2LL_FILE.replace("clause top = (op top)", "clause top = (op bang (ph 0))")
     with pytest.raises((SortMismatch, OffsetMismatch)):
         parse_table(bad)
+
+
+def test_parse_table_map_policy(stlc):
+    text = (
+        "translate stlc -> stlc map iota => arrow(iota,iota)\n"
+        "clause app<s,t> = (op app<s,t> (ph 0) (ph 1))\n"
+        "clause abs<s,t> = (op abs<s,t> (ph 0))\n"
+    )
+    table = parse_table(text)
+    assert table.morphism.mode == "homomorphic"
+    assert table.morphism.apply(ARR) == ArrowSort(ARR, ARR)
+    t = Op("app", (IOTA, IOTA), (Op("abs", (IOTA, IOTA), (Var(0),)), Var(0)))
+    got = translate_term(table, (IOTA,), t)
+    assert got == Op("app", (ARR, ARR), (Op("abs", (ARR, ARR), (Var(0),)), Var(0)))
+    assert sort_of(stlc, map_context(table.morphism, (IOTA,)), got) == ARR
+
+
+def test_clause_at_the_wrong_root_sort_rejected():
+    text = (
+        "translate stlc -> stlc\n"
+        "clause app<s,t> = (ph 0)\n"
+        "clause abs<s,t> = (op abs<s,t> (ph 0))\n"
+    )
+    with pytest.raises(SortMismatch) as caught:
+        parse_table(text)
+    assert str(caught.value) == "app: clause has sort arrow(iota,iota), expected iota"
 
 
 def test_clause_is_checked_at_each_instantiation(stlc):
