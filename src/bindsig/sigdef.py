@@ -10,6 +10,7 @@ a concrete arity is produced by :func:`instantiate`.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -337,123 +338,79 @@ def sum_signatures(a: Signature, b: Signature) -> Signature:
 # Builtin signatures
 
 
-def _schema(name, inputs, output, params=()):
-    return ConstructorSchema(
-        name,
-        tuple(params),
-        tuple(Input(tuple(b), s) for b, s in inputs),
-        output,
-    )
+# Written in the signature file grammar, and read by parse_signature on
+# first use.
+_BUILTIN_TEXTS = {
+    "ulc": """signature ulc
+op app : (*, *) -> *
+op abs : ([*] *) -> *
+""",
+    "nat": """signature nat
+op zero : () -> *
+op succ : (*) -> *
+""",
+    "fol": """signature fol
+op top : () -> *
+op bot : () -> *
+op neg : (*) -> *
+op and : (*, *) -> *
+op or : (*, *) -> *
+op imp : (*, *) -> *
+op forall : ([*] *) -> *
+op exists : ([*] *) -> *
+""",
+    "ll": """signature ll
+op top : () -> *
+op bot : () -> *
+op zero : () -> *
+op one : () -> *
+op bang : (*) -> *
+op whynot : (*) -> *
+op with : (*, *) -> *
+op parr : (*, *) -> *
+op tensor : (*, *) -> *
+op oplus : (*, *) -> *
+op lolli : (*, *) -> *
+op forall : ([*] *) -> *
+op exists : ([*] *) -> *
+""",
+    "stlc": """signature stlc
+sorts iota with arrow
+op app<s: sort, t: sort> : (arrow(s,t), s) -> t
+op abs<s: sort, t: sort> : ([s] t) -> arrow(s,t)
+""",
+    "pcf": """signature pcf
+sorts nat | bool with arrow
+op true : () -> bool
+op false : () -> bool
+op if_bool : (arrow(bool,arrow(bool,bool))) -> bool
+op if_nat : (arrow(bool,arrow(nat,nat))) -> nat
+op k<n: nat> : () -> nat
+op succ : (nat) -> nat
+op pred : (nat) -> nat
+op zero_test : (nat) -> bool
+op app<s: sort, t: sort> : (arrow(s,t), s) -> t
+op abs<s: sort, t: sort> : ([s] t) -> arrow(s,t)
+op fix<s: sort> : (arrow(s,s)) -> s
+""",
+}
 
 
-def _untyped_schema(name, binder_counts):
-    return _schema(name, [((STAR,) * n, STAR) for n in binder_counts], STAR)
+@functools.cache  # only the names of _BUILTIN_TEXTS reach it
+def _parsed_builtin(name: str) -> Signature:
+    return parse_signature(_BUILTIN_TEXTS[name])
 
 
 def builtin(name: str) -> Signature:
-    """One of the stock signatures: ulc, fol, ll, stlc, pcf, nat."""
-    if name == "ulc":
-        return make_signature(
-            UNTYPED,
-            [_untyped_schema("app", [0, 0]), _untyped_schema("abs", [1])],
-        )
-    if name == "nat":
-        return make_signature(
-            UNTYPED,
-            [_untyped_schema("zero", []), _untyped_schema("succ", [0])],
-        )
-    if name == "fol":
-        return make_signature(
-            UNTYPED,
-            [
-                _untyped_schema("top", []),
-                _untyped_schema("bot", []),
-                _untyped_schema("neg", [0]),
-                _untyped_schema("and", [0, 0]),
-                _untyped_schema("or", [0, 0]),
-                _untyped_schema("imp", [0, 0]),
-                _untyped_schema("forall", [1]),
-                _untyped_schema("exists", [1]),
-            ],
-        )
-    if name == "ll":
-        return make_signature(
-            UNTYPED,
-            [
-                _untyped_schema("top", []),
-                _untyped_schema("bot", []),
-                _untyped_schema("zero", []),
-                _untyped_schema("one", []),
-                _untyped_schema("bang", [0]),
-                _untyped_schema("whynot", [0]),
-                _untyped_schema("with", [0, 0]),
-                _untyped_schema("parr", [0, 0]),
-                _untyped_schema("tensor", [0, 0]),
-                _untyped_schema("oplus", [0, 0]),
-                _untyped_schema("lolli", [0, 0]),
-                _untyped_schema("forall", [1]),
-                _untyped_schema("exists", [1]),
-            ],
-        )
-    if name == "stlc":
-        types = TypeSystem(("iota",), arrow_enabled=True)
-        s, t = SortRef(0), SortRef(1)
-        return make_signature(
-            types,
-            [
-                _schema(
-                    "app",
-                    [((), ArrowSort(s, t)), ((), s)],
-                    t,
-                    [Param("s", "sort"), Param("t", "sort")],
-                ),
-                _schema(
-                    "abs",
-                    [((s,), t)],
-                    ArrowSort(s, t),
-                    [Param("s", "sort"), Param("t", "sort")],
-                ),
-            ],
-        )
-    if name == "pcf":
-        types = TypeSystem(("nat", "bool"), arrow_enabled=True)
-        nat, boolean = BaseSort("nat"), BaseSort("bool")
-        s, t = SortRef(0), SortRef(1)
-        return make_signature(
-            types,
-            [
-                _schema("true", [], boolean),
-                _schema("false", [], boolean),
-                _schema(
-                    "if_bool",
-                    [((), ArrowSort(boolean, ArrowSort(boolean, boolean)))],
-                    boolean,
-                ),
-                _schema(
-                    "if_nat",
-                    [((), ArrowSort(boolean, ArrowSort(nat, nat)))],
-                    nat,
-                ),
-                _schema("k", [], nat, [Param("n", "nat")]),
-                _schema("succ", [((), nat)], nat),
-                _schema("pred", [((), nat)], nat),
-                _schema("zero_test", [((), nat)], boolean),
-                _schema(
-                    "app",
-                    [((), ArrowSort(s, t)), ((), s)],
-                    t,
-                    [Param("s", "sort"), Param("t", "sort")],
-                ),
-                _schema(
-                    "abs",
-                    [((s,), t)],
-                    ArrowSort(s, t),
-                    [Param("s", "sort"), Param("t", "sort")],
-                ),
-                _schema("fix", [((), ArrowSort(s, s))], s, [Param("s", "sort")]),
-            ],
-        )
-    raise UnknownBuiltin(f"no builtin signature {name!r}")
+    """One of the stock signatures: ulc, fol, ll, stlc, pcf, nat.
+
+    Each text is parsed once per process; every call returns a new
+    Signature, whose lookup cache starts empty.
+    """
+    if name not in _BUILTIN_TEXTS:
+        raise UnknownBuiltin(f"no builtin signature {name!r}")
+    sig = _parsed_builtin(name)
+    return Signature(sig.types, sig.schemas)
 
 
 # ---------------------------------------------------------------------------
@@ -698,10 +655,8 @@ def parse_signature(text: str) -> Signature:
 
 def _load_signature(spec: str) -> Signature:
     """A builtin signature by name, else the signature file at that path."""
-    try:
+    if spec in _BUILTIN_TEXTS:
         return builtin(spec)
-    except UnknownBuiltin:
-        pass
     with open(spec, "r", encoding="utf-8") as fh:
         return parse_signature(fh.read())
 

@@ -19,6 +19,7 @@ explicit stacks, so they may be deeper than the Python stack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Sequence, Union
@@ -41,7 +42,6 @@ from .sigdef import (
     TypeSystem,
     _load_signature,
     _parse_sort_expr,
-    builtin,
     print_sort,
     sorts_up_to_depth,
 )
@@ -317,29 +317,38 @@ def identity_table(sig: Signature) -> TranslationTable:
     return make_table(sig, sig, TypeMorphism.identity(sig.types), clauses)
 
 
+# Written in the table file grammar, and read by parse_table on first use.
+_TABLE_TEXTS = {
+    "fol2ll": """translate fol -> ll erase-types
+clause top = (op top)
+clause bot = (op bot)
+clause neg = (op lolli (op bang (ph 0)) (op zero))
+clause and = (op with (ph 0) (ph 1))
+clause or = (op oplus (op bang (ph 0)) (op bang (ph 1)))
+clause imp = (op lolli (op bang (ph 0)) (ph 1))
+clause forall = (op forall (ph 0))
+clause exists = (op exists (op bang (ph 0)))
+""",
+    "stlc2ulc": """translate stlc -> ulc erase-types
+clause app<s,t> = (op app (ph 0) (ph 1))
+clause abs<s,t> = (op abs (ph 0))
+""",
+}
+
+
+@functools.cache  # only the names of _TABLE_TEXTS reach it
+def _parsed_table(name: str) -> TranslationTable:
+    return parse_table(_TABLE_TEXTS[name])
+
+
 def builtin_table(name: str) -> TranslationTable:
-    if name == "fol2ll":
-        fol, ll = builtin("fol"), builtin("ll")
-        p0, p1 = Placeholder(0), Placeholder(1)
-        clauses = {
-            "top": Op("top"),
-            "bot": Op("bot"),
-            "neg": Op("lolli", (), (Op("bang", (), (p0,)), Op("zero"))),
-            "and": Op("with", (), (p0, p1)),
-            "or": Op("oplus", (), (Op("bang", (), (p0,)), Op("bang", (), (p1,)))),
-            "imp": Op("lolli", (), (Op("bang", (), (p0,)), p1)),
-            "forall": Op("forall", (), (p0,)),
-            "exists": Op("exists", (), (Op("bang", (), (p0,)),)),
-        }
-        return make_table(fol, ll, TypeMorphism.collapse(fol.types, ll.types), clauses)
-    if name == "stlc2ulc":
-        stlc, ulc = builtin("stlc"), builtin("ulc")
-        clauses = {
-            "app": Op("app", (), (Placeholder(0), Placeholder(1))),
-            "abs": Op("abs", (), (Placeholder(0),)),
-        }
-        return make_table(stlc, ulc, TypeMorphism.collapse(stlc.types, ulc.types), clauses)
-    raise UnknownBuiltin(f"no builtin table {name!r}")
+    """fol2ll or stlc2ulc.  Each text is parsed once per process; every
+    call returns a new table over new signatures."""
+    if name not in _TABLE_TEXTS:
+        raise UnknownBuiltin(f"no builtin table {name!r}")
+    t = _parsed_table(name)
+    source, target = (Signature(sig.types, sig.schemas) for sig in (t.source, t.target))
+    return make_table(source, target, t.morphism, t.clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ from bindsig.errors import (
     TypeSystemMismatch,
     UnknownBuiltin,
 )
-from bindsig.sigdef import sorts_up_to_depth
+from bindsig.sigdef import _parsed_builtin, sorts_up_to_depth
+from bindsig.translate import _parsed_table
 
 STAR = BaseSort("*")
 IOTA = BaseSort("iota")
@@ -192,6 +193,22 @@ def test_builtin_table_is_fresh(name):
     a, b = builtin_table(name), builtin_table(name)
     assert a is not b and a == b
     assert {id(a.source), id(a.target)}.isdisjoint({id(b.source), id(b.target)})
+
+
+def test_unknown_names_never_enter_the_builtin_memos():
+    names = ("ulc", "nat", "fol", "ll", "stlc", "pcf")
+    for name in names:
+        builtin(name)
+    for name in ("fol2ll", "stlc2ulc"):
+        builtin_table(name)
+    for name in ("mystery", "fol2ll"):
+        with pytest.raises(UnknownBuiltin):
+            builtin(name)
+    for name in ("mystery", "ulc"):
+        with pytest.raises(UnknownBuiltin):
+            builtin_table(name)
+    assert _parsed_builtin.cache_info().currsize == len(names)
+    assert _parsed_table.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize(
