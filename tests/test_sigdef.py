@@ -125,6 +125,18 @@ ARROWS = TypeSystem(("iota",), arrow_enabled=True)
             ParamKindMismatch,
             "c: parameter n used as a sort",
         ),
+        # the first fault in pre-order is the one reported
+        (
+            lambda: check_sort(UNTYPED, ArrowSort(BaseSort("bogus"), IOTA)),
+            MalformedSort,
+            "arrow sort in a type system without arrows",
+        ),
+        (
+            lambda: check_sort(ARROWS, ArrowSort(BaseSort("bogus"), BaseSort("other"))),
+            MalformedSort,
+            "unknown base sort 'bogus'",
+        ),
+        (lambda: print_sort(SortRef(0)), MalformedSort, "not a printable sort: SortRef(index=0)"),
     ],
     ids=[
         "unknown-base-sort",
@@ -133,6 +145,9 @@ ARROWS = TypeSystem(("iota",), arrow_enabled=True)
         "reference-outside-template",
         "reference-out-of-range",
         "nat-parameter-as-sort",
+        "arrow-before-its-leaves",
+        "leftmost-leaf-first",
+        "reference-not-printable",
     ],
 )
 def test_sort_validator_messages(check, error, message):
@@ -397,6 +412,16 @@ STLC_TYPES = TypeSystem(("iota",), arrow_enabled=True)
                      "expected ')', found 'end of input'", id="sort-end-of-input"),
         pytest.param(parse_sort, "arrow(iota iota)", 1, 12,
                      "expected ',', found 'iota'", id="sort-missing-comma"),
+        pytest.param(parse_sort, "arrow(,iota)", 1, 7,
+                     "expected a sort, found ','", id="sort-missing-domain"),
+        pytest.param(parse_sort, "arrow iota", 1, 7,
+                     "expected '(', found 'iota'", id="sort-missing-open"),
+        pytest.param(parse_sort, "arrow(iota,nat))", 1, 16,
+                     "trailing input ')'", id="sort-trailing-input"),
+        pytest.param(parse_sort, "", 1, 1,
+                     "expected a sort, found 'end of input'", id="sort-empty"),
+        pytest.param(parse_sort, "arrow(arrow(iota,nat) bool)", 1, 23,
+                     "expected ',', found 'bool'", id="sort-missing-comma-after-nested"),
         pytest.param(lambda text: parse_context(STLC_TYPES, text), "(ctx iota\r\n arrow(iota,))",
                      2, 13, "expected a sort, found ')'", id="context-crlf"),
         pytest.param(lambda text: parse_context(STLC_TYPES, text), "(ctx iota", 1, 10,
@@ -474,3 +499,54 @@ def test_parameterized_print_roundtrip():
 def test_sort_print_parse_roundtrip():
     for s in (STAR, IOTA, ArrowSort(IOTA, ArrowSort(IOTA, IOTA))):
         assert parse_sort(print_sort(s)) == s
+
+
+# sorts_up_to_depth's order is part of the enumeration contract: each level
+# appends the new arrows by (domain position, codomain position).
+PCF_SORTS_TO_DEPTH_2 = """
+nat bool arrow(nat,nat) arrow(nat,bool) arrow(bool,nat) arrow(bool,bool) arrow(nat,arrow(nat,nat))
+arrow(nat,arrow(nat,bool)) arrow(nat,arrow(bool,nat)) arrow(nat,arrow(bool,bool))
+arrow(bool,arrow(nat,nat)) arrow(bool,arrow(nat,bool)) arrow(bool,arrow(bool,nat))
+arrow(bool,arrow(bool,bool)) arrow(arrow(nat,nat),nat) arrow(arrow(nat,nat),bool)
+arrow(arrow(nat,nat),arrow(nat,nat)) arrow(arrow(nat,nat),arrow(nat,bool))
+arrow(arrow(nat,nat),arrow(bool,nat)) arrow(arrow(nat,nat),arrow(bool,bool))
+arrow(arrow(nat,bool),nat) arrow(arrow(nat,bool),bool) arrow(arrow(nat,bool),arrow(nat,nat))
+arrow(arrow(nat,bool),arrow(nat,bool)) arrow(arrow(nat,bool),arrow(bool,nat))
+arrow(arrow(nat,bool),arrow(bool,bool)) arrow(arrow(bool,nat),nat) arrow(arrow(bool,nat),bool)
+arrow(arrow(bool,nat),arrow(nat,nat)) arrow(arrow(bool,nat),arrow(nat,bool))
+arrow(arrow(bool,nat),arrow(bool,nat)) arrow(arrow(bool,nat),arrow(bool,bool))
+arrow(arrow(bool,bool),nat) arrow(arrow(bool,bool),bool) arrow(arrow(bool,bool),arrow(nat,nat))
+arrow(arrow(bool,bool),arrow(nat,bool)) arrow(arrow(bool,bool),arrow(bool,nat))
+arrow(arrow(bool,bool),arrow(bool,bool))
+""".split()
+
+STLC_SORTS_TO_DEPTH_3 = """
+iota arrow(iota,iota) arrow(iota,arrow(iota,iota)) arrow(arrow(iota,iota),iota)
+arrow(arrow(iota,iota),arrow(iota,iota)) arrow(iota,arrow(iota,arrow(iota,iota)))
+arrow(iota,arrow(arrow(iota,iota),iota)) arrow(iota,arrow(arrow(iota,iota),arrow(iota,iota)))
+arrow(arrow(iota,iota),arrow(iota,arrow(iota,iota)))
+arrow(arrow(iota,iota),arrow(arrow(iota,iota),iota))
+arrow(arrow(iota,iota),arrow(arrow(iota,iota),arrow(iota,iota)))
+arrow(arrow(iota,arrow(iota,iota)),iota) arrow(arrow(iota,arrow(iota,iota)),arrow(iota,iota))
+arrow(arrow(iota,arrow(iota,iota)),arrow(iota,arrow(iota,iota)))
+arrow(arrow(iota,arrow(iota,iota)),arrow(arrow(iota,iota),iota))
+arrow(arrow(iota,arrow(iota,iota)),arrow(arrow(iota,iota),arrow(iota,iota)))
+arrow(arrow(arrow(iota,iota),iota),iota) arrow(arrow(arrow(iota,iota),iota),arrow(iota,iota))
+arrow(arrow(arrow(iota,iota),iota),arrow(iota,arrow(iota,iota)))
+arrow(arrow(arrow(iota,iota),iota),arrow(arrow(iota,iota),iota))
+arrow(arrow(arrow(iota,iota),iota),arrow(arrow(iota,iota),arrow(iota,iota)))
+arrow(arrow(arrow(iota,iota),arrow(iota,iota)),iota)
+arrow(arrow(arrow(iota,iota),arrow(iota,iota)),arrow(iota,iota))
+arrow(arrow(arrow(iota,iota),arrow(iota,iota)),arrow(iota,arrow(iota,iota)))
+arrow(arrow(arrow(iota,iota),arrow(iota,iota)),arrow(arrow(iota,iota),iota))
+arrow(arrow(arrow(iota,iota),arrow(iota,iota)),arrow(arrow(iota,iota),arrow(iota,iota)))
+""".split()
+
+
+@pytest.mark.parametrize(
+    "name, depth, expected",
+    [("pcf", 2, PCF_SORTS_TO_DEPTH_2), ("stlc", 3, STLC_SORTS_TO_DEPTH_3)],
+)
+def test_sorts_up_to_depth_order_is_pinned(name, depth, expected):
+    assert len(expected) == {"pcf": 38, "stlc": 26}[name]
+    assert [print_sort(s) for s in sorts_up_to_depth(builtin(name).types, depth)] == expected
