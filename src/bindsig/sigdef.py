@@ -48,7 +48,6 @@ __all__ = [
     "parse_sort",
     "print_sort",
     "sorts_up_to_depth",
-    "sort_depth",
 ]
 
 
@@ -110,6 +109,21 @@ class ArrowSort:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if type(other) is not ArrowSort:
+            return NotImplemented
+        pairs = [(self, other)]
+        for x, y in pairs:  # a work list the loop extends: no recursion
+            if x is y:
+                continue
+            if type(x) is ArrowSort and type(y) is ArrowSort:
+                if x._hash != y._hash:  # the stored hashes reject before any descent
+                    return False
+                pairs += ((x.domain, y.domain), (x.codomain, y.codomain))
+            elif x != y:
+                return False
+        return True
+
 
 @dataclass(frozen=True, slots=True)
 class SortRef:
@@ -126,38 +140,73 @@ UNTYPED = TypeSystem(("*",))
 STAR = BaseSort("*")
 
 
+class _Punct(str):
+    """The punctuation of a sort's printed form: never a leaf."""
+
+
+_OPEN, _COMMA, _CLOSE = _Punct("arrow("), _Punct(","), _Punct(")")
+
+
+def _tour(tpl: SortTemplate, leaf) -> list:
+    """The printed form of a sort or template as a list: the punctuation
+    ``_OPEN``, ``_COMMA`` and ``_CLOSE``, and ``leaf(x)`` in place of each
+    leaf ``x``, called in pre-order.  The one walk of the sort grammar; it
+    keeps its own stack, so sorts may be deeper than the Python stack."""
+    out, todo = [], [tpl]
+    while todo:
+        x = todo.pop()
+        if type(x) is ArrowSort:
+            todo += (_CLOSE, x.codomain, _COMMA, x.domain, _OPEN)
+        else:
+            out.append(x if type(x) is _Punct else leaf(x))
+    return out
+
+
+def _map_leaves(tpl: SortTemplate, leaf) -> SortTemplate:
+    """``tpl`` with each leaf ``x`` replaced by ``leaf(x)``, called in
+    pre-order: each arrow is rebuilt as its tour's ``_CLOSE`` passes."""
+    done = []
+    for x in _tour(tpl, leaf):
+        if x is _CLOSE:
+            done[-2:] = [ArrowSort(*done[-2:])]
+        elif type(x) is not _Punct:
+            done.append(x)
+    return done[0]
+
+
 def check_sort(types: TypeSystem, sort: Sort, schema: ConstructorSchema | None = None) -> None:
     """Raise MalformedSort unless ``sort`` is a well-formed sort of ``types``.
 
     With ``schema``, ``sort`` is one of its arity templates, whose SortRef
     leaves must name its sort parameters (ParamKindMismatch for a nat
-    one); without, a SortRef is no sort.
+    one); without, a SortRef is no sort.  The first fault in pre-order is
+    the one reported: a sort with an arrow in it is an arrow.
     """
-    if isinstance(sort, BaseSort):
-        if sort.name not in types.base_sorts:
-            raise MalformedSort(f"unknown base sort {sort.name!r}")
-    elif isinstance(sort, ArrowSort):
-        if not types.arrow_enabled:
-            if schema is not None:
-                raise MalformedSort(f"{schema.name}: arrow sort but arrows are disabled")
-            raise MalformedSort("arrow sort in a type system without arrows")
-        check_sort(types, sort.domain, schema)
-        check_sort(types, sort.codomain, schema)
-    elif isinstance(sort, SortRef) and schema is not None:
-        if not (0 <= sort.index < len(schema.params)):
-            raise MalformedSort(f"{schema.name}: parameter reference out of range")
-        if schema.params[sort.index].kind != "sort":
-            raise ParamKindMismatch(
-                f"{schema.name}: parameter {schema.params[sort.index].name} used as a sort"
-            )
-    else:
-        raise MalformedSort(f"not a sort: {sort!r}")
+    if type(sort) is ArrowSort and not types.arrow_enabled:
+        if schema is not None:
+            raise MalformedSort(f"{schema.name}: arrow sort but arrows are disabled")
+        raise MalformedSort("arrow sort in a type system without arrows")
+
+    def leaf(x):
+        if isinstance(x, BaseSort):
+            if x.name not in types.base_sorts:
+                raise MalformedSort(f"unknown base sort {x.name!r}")
+        elif isinstance(x, SortRef) and schema is not None:
+            if not (0 <= x.index < len(schema.params)):
+                raise MalformedSort(f"{schema.name}: parameter reference out of range")
+            p = schema.params[x.index]
+            if p.kind != "sort":
+                raise ParamKindMismatch(f"{schema.name}: parameter {p.name} used as a sort")
+        else:
+            raise MalformedSort(f"not a sort: {x!r}")
+
+    _tour(sort, leaf)
 
 
-def sort_depth(sort: Sort) -> int:
-    if isinstance(sort, BaseSort):
-        return 0
-    return 1 + max(sort_depth(sort.domain), sort_depth(sort.codomain))
+def _check_arity(types: TypeSystem, arity, schema: ConstructorSchema | None = None) -> None:
+    """check_sort on every sort of ``arity``: bound, input, then output."""
+    for sort in [s for inp in arity.inputs for s in (*inp.bound, inp.sort)] + [arity.output]:
+        check_sort(types, sort, schema)
 
 
 def sorts_up_to_depth(types: TypeSystem, depth: int) -> list[Sort]:
@@ -169,14 +218,11 @@ def sorts_up_to_depth(types: TypeSystem, depth: int) -> list[Sort]:
     contract, so golden outputs stay stable.
     """
     out: list[Sort] = [BaseSort(n) for n in types.base_sorts]
-    if not types.arrow_enabled:
-        return out
-    for level in range(1, depth + 1):
-        prev = list(out)
-        for a in prev:
-            for b in prev:
-                if max(sort_depth(a), sort_depth(b)) == level - 1:
-                    out.append(ArrowSort(a, b))
+    last = 0  # where the deepest level so far starts: each new arrow has a side there
+    for _ in range(depth if types.arrow_enabled else 0):
+        n = len(out)
+        out += [ArrowSort(out[i], out[j]) for i in range(n) for j in range(n) if max(i, j) >= last]
+        last = n
     return out
 
 
@@ -228,11 +274,7 @@ class ConstructorSchema:
 
 
 def _subst_template(tpl: SortTemplate, args: tuple) -> Sort:
-    if isinstance(tpl, SortRef):
-        return args[tpl.index]
-    if isinstance(tpl, ArrowSort):
-        return ArrowSort(_subst_template(tpl.domain, args), _subst_template(tpl.codomain, args))
-    return tpl
+    return _map_leaves(tpl, lambda x: args[x.index] if isinstance(x, SortRef) else x)
 
 
 def instantiate(schema: ConstructorSchema, args: Sequence, types: TypeSystem | None = None) -> Arity:
@@ -258,14 +300,9 @@ def instantiate(schema: ConstructorSchema, args: Sequence, types: TypeSystem | N
         Input(tuple(_subst_template(b, args) for b in inp.bound), _subst_template(inp.sort, args))
         for inp in schema.inputs
     )
-    output = _subst_template(schema.output, args)
-    arity = Arity(inputs, output)
+    arity = Arity(inputs, _subst_template(schema.output, args))
     if types is not None:
-        for inp in arity.inputs:
-            for b in inp.bound:
-                check_sort(types, b)
-            check_sort(types, inp.sort)
-        check_sort(types, arity.output)
+        _check_arity(types, arity)
     return arity
 
 
@@ -315,11 +352,7 @@ def make_signature(types: TypeSystem, schemas: Iterable[ConstructorSchema]) -> S
         if s.name in seen:
             raise DuplicateName(f"operator {s.name!r} declared twice")
         seen.add(s.name)
-        for inp in s.inputs:
-            for b in inp.bound:
-                check_sort(types, b, s)
-            check_sort(types, inp.sort, s)
-        check_sort(types, s.output, s)
+        _check_arity(types, s, s)
     return Signature(types, schemas)
 
 
@@ -515,19 +548,24 @@ class TokenStream:
 
 
 def _parse_sort_expr(ts: TokenStream, param_index: dict | None = None) -> SortTemplate:
-    kind, text, offset = ts.next()
-    if text == "arrow":
-        ts.expect("(")
-        dom = _parse_sort_expr(ts, param_index)
+    """Read one sort or template without recursion on the Python stack."""
+    domains = []  # per open arrow: its domain, or None while it is read
+    while True:
+        kind, text, offset = ts.next()
+        if text == "arrow":
+            ts.expect("(")
+            domains.append(None)
+            continue
+        if kind != "ident":
+            raise ts.error(f"expected a sort, found {text or 'end of input'!r}", offset)
+        value = SortRef(param_index[text]) if text in (param_index or ()) else BaseSort(text)
+        while domains and domains[-1] is not None:  # value closes the innermost arrow
+            ts.expect(")")
+            value = ArrowSort(domains.pop(), value)
+        if not domains:
+            return value
+        domains[-1] = value
         ts.expect(",")
-        cod = _parse_sort_expr(ts, param_index)
-        ts.expect(")")
-        return ArrowSort(dom, cod)
-    if kind == "ident":
-        if param_index and text in param_index:
-            return SortRef(param_index[text])
-        return BaseSort(text)
-    raise ts.error(f"expected a sort, found {text or 'end of input'!r}", offset)
 
 
 def parse_sort(text: str) -> Sort:
@@ -543,13 +581,17 @@ def print_sort(sort: Sort) -> str:
 
 def _print_template(tpl: SortTemplate, params: tuple[Param, ...]) -> str:
     """A sort, or a schema's sort template with its parameter names."""
-    if isinstance(tpl, BaseSort):
+    if type(tpl) is BaseSort:
         return tpl.name
-    if isinstance(tpl, ArrowSort):
-        return f"arrow({_print_template(tpl.domain, params)},{_print_template(tpl.codomain, params)})"
-    if isinstance(tpl, SortRef) and tpl.index < len(params):
-        return params[tpl.index].name
-    raise MalformedSort(f"not a printable sort: {tpl!r}")
+
+    def name(x):
+        if isinstance(x, BaseSort):
+            return x.name
+        if isinstance(x, SortRef) and x.index < len(params):
+            return params[x.index].name
+        raise MalformedSort(f"not a printable sort: {x!r}")
+
+    return "".join(_tour(tpl, name))
 
 
 def _parse_param_decl(ts: TokenStream) -> Param:
@@ -642,9 +684,7 @@ def parse_signature_source(text: str) -> tuple[Signature, tuple[ConstructorSchem
         if decl.name in seen:
             raise DuplicateName(f"operator label {decl.name!r} clashes with a schema")
         seen.add(decl.name)
-        for inp in decl.inputs:
-            check_sort(sig.types, inp.sort)
-        check_sort(sig.types, decl.output)
+        _check_arity(sig.types, decl)  # binds nothing: the parser refused that
     return sig, tuple(operators)
 
 

@@ -690,12 +690,6 @@ def parse_term(text: str) -> Term:
     return t
 
 
-def _print_param(p) -> str:
-    if isinstance(p, int):
-        return str(p)
-    return print_sort(p)
-
-
 _CLOSE = object()  # print_term's closing parenthesis: no argument is it
 
 
@@ -712,7 +706,8 @@ def print_term(t: Term) -> str:
         elif type(t) is Op:
             out.append(" (op " + t.name)
             if t.params:
-                out.append("<" + ",".join(_print_param(p) for p in t.params) + ">")
+                params = (str(p) if isinstance(p, int) else print_sort(p) for p in t.params)
+                out.append("<" + ",".join(params) + ">")
             stack.append(close)
             stack.extend(reversed(t.args))
         else:

@@ -34,13 +34,13 @@ from .errors import (
     UnknownBuiltin,
 )
 from .sigdef import (
-    ArrowSort,
     BaseSort,
     Signature,
     Sort,
     TokenStream,
     TypeSystem,
     _load_signature,
+    _map_leaves,
     _parse_sort_expr,
     print_sort,
     sorts_up_to_depth,
@@ -89,9 +89,7 @@ class TypeMorphism:
     def apply(self, sort: Sort) -> Sort:
         if self.mode == "collapse":
             return self.target.single_sort()
-        if isinstance(sort, BaseSort):
-            return self.base_map[sort.name]
-        return ArrowSort(self.apply(sort.domain), self.apply(sort.codomain))
+        return _map_leaves(sort, lambda base: self.base_map[base.name])
 
     @staticmethod
     def identity(types: TypeSystem) -> "TypeMorphism":
@@ -342,13 +340,15 @@ def _parsed_table(name: str) -> TranslationTable:
 
 
 def builtin_table(name: str) -> TranslationTable:
-    """fol2ll or stlc2ulc.  Each text is parsed once per process; every
-    call returns a new table over new signatures."""
+    """fol2ll or stlc2ulc.  Each text is parsed and checked once per
+    process; every call returns a new table over new signatures."""
     if name not in _TABLE_TEXTS:
         raise UnknownBuiltin(f"no builtin table {name!r}")
     t = _parsed_table(name)
     source, target = (Signature(sig.types, sig.schemas) for sig in (t.source, t.target))
-    return make_table(source, target, t.morphism, t.clauses)
+    table = TranslationTable(source, target, t.morphism, dict(t.clauses))
+    table._checked.update(t._checked)  # checked when the text was read; builders use no signature
+    return table
 
 
 # ---------------------------------------------------------------------------

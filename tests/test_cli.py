@@ -279,13 +279,19 @@ def test_term_flag_and_positional_agree(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_deeply_nested_sort_is_a_one_line_error(capsys):
+def test_deeply_nested_sort_is_read(capsys):
     sort = "iota"
     for _ in range(3000):
         sort = f"arrow(iota,{sort})"
     code, out, err = run(
         capsys, "enum", "--sig", "stlc", "--max-sort-depth", "0", "--depth", "1", "--sort", sort
     )
+    assert (code, out, err) == (0, "", "")
+
+
+def test_deep_enumeration_is_a_one_line_error(capsys):
+    # chain_count recurses once per depth level
+    code, out, err = run(capsys, "enum", "--sig", "nat", "--ctx", "0", "--depth", "3000", "--count")
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "RecursionError" in err

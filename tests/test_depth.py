@@ -1,4 +1,4 @@
-"""Terms far deeper than the Python stack.
+"""Terms and sorts far deeper than the Python stack.
 
 Every layer walks terms on an explicit stack, so a 100 000-deep chain goes
 through parse, print, checking, substitution, renaming, folds, translation,
@@ -7,7 +7,10 @@ read, checked and compiled.  Expected values are built by plain loops, not
 by the library's traversal.  Folds run under 50 000 nested binders too: a
 walk enters a binder at the cost of its own group, and a model's context
 becomes a tuple only when the model asks for one.  Folding a term into the
-term model gives it back, checking each node once.
+term model gives it back, checking each node once.  Sorts have one walk on
+an explicit stack, and one reader loop, so a 100 000-deep arrow sort is
+read, printed, compared, checked, instantiated and mapped, and a term whose
+operator parameters are 20 000-deep sorts is checked, folded and translated.
 """
 
 import time
@@ -16,20 +19,26 @@ import tracemalloc
 import pytest
 
 from bindsig import (
+    ArrowSort,
     Assignment,
     BaseSort,
     Op,
     OperatorFamily,
     Renaming,
+    TypeMorphism,
     Var,
     builtin,
     builtin_table,
     fold,
     free_extend,
     fv_model,
+    identity_table,
+    instantiate,
     mk_op,
+    parse_sort,
     parse_table,
     parse_term,
+    print_sort,
     print_term,
     rename,
     sort_of,
@@ -40,6 +49,7 @@ from bindsig import (
 )
 from bindsig.cli import main
 from bindsig.errors import OffsetMismatch, ScopeError
+from bindsig.sigdef import check_sort
 from bindsig.term import term_depth
 
 N = 100_000
@@ -282,3 +292,55 @@ def test_deep_clause_placeholder_one_binder_too_deep():
     text += "(op forall (ph 0))" + ")" * (DEEP - 1) + "\n"
     with pytest.raises(OffsetMismatch, match="^forall: placeholder 0 sits under"):
         parse_table(text)
+
+
+IOTA = BaseSort("iota")
+
+
+def arrows(depth, leaf=IOTA):
+    """A ``depth``-deep arrow sort nesting on alternate sides, ``leaf`` at
+    every leaf."""
+    sort = leaf
+    for i in range(depth):
+        sort = ArrowSort(sort, leaf) if i % 2 else ArrowSort(leaf, sort)
+    return sort
+
+
+def arrows_text(depth):
+    opens = ["arrow(" if i % 2 else "arrow(iota," for i in range(depth)]
+    closes = [",iota)" if i % 2 else ")" for i in range(depth)]
+    return "".join(reversed(opens)) + "iota" + "".join(closes)
+
+
+def test_deep_sort():
+    stlc = builtin("stlc")
+    d = arrows(N)
+    twin = arrows(N)
+    assert d is not twin and d == twin and hash(d) == hash(twin)
+    assert d != arrows(N, BaseSort("nat"))
+
+    text = print_sort(d)
+    assert text == arrows_text(N)
+    assert parse_sort(text) == d
+
+    check_sort(stlc.types, d)
+    arity = instantiate(stlc.schema("app"), (d, d), stlc.types)
+    assert arity.inputs[0].sort == ArrowSort(d, d) and arity.output == d
+
+    assert TypeMorphism.identity(stlc.types).apply(d) == d
+    doubled = TypeMorphism(stlc.types, stlc.types, {"iota": ArrowSort(IOTA, IOTA)})
+    assert doubled.apply(d) == arrows(N, ArrowSort(IOTA, IOTA))
+
+
+def test_deep_sort_parameters():
+    stlc = builtin("stlc")
+    depth = 20_000
+    d = arrows(depth)
+    t = Op("abs", (d, d), (Var(0),))
+    text = f"(op abs<{arrows_text(depth)},{arrows_text(depth)}> (var 0))"
+    assert parse_term(text) == t
+    assert print_term(t) == text
+    assert sort_of(stlc, (), t) == ArrowSort(d, d)
+    assert fold(term_model(stlc), stlc, (), t) == t
+    assert translate_term(identity_table(stlc), (), t) == t
+    assert translate_term(builtin_table("stlc2ulc"), (), t) == Op("abs", (), (Var(0),))

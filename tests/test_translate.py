@@ -211,13 +211,13 @@ def test_unknown_names_never_enter_the_builtin_memos():
     assert _parsed_table.cache_info().currsize == 2
 
 
-@pytest.mark.parametrize(
-    "name, max_sort_depth, count, digest",
-    [
-        ("fol2ll", None, 6777, "2bd06bf0840a9ddc4d65ecc442828c409e9260b54de0cc505f3edf90078b88e8"),
-        ("stlc2ulc", 1, 18, "c600015b67fc3ca98c458c38a009e07a706466ba1816ffb488d268c0474593e3"),
-    ],
-)
+BUILTIN_TABLE_DIGESTS = [
+    ("fol2ll", None, 6777, "2bd06bf0840a9ddc4d65ecc442828c409e9260b54de0cc505f3edf90078b88e8"),
+    ("stlc2ulc", 1, 18, "c600015b67fc3ca98c458c38a009e07a706466ba1816ffb488d268c0474593e3"),
+]
+
+
+@pytest.mark.parametrize("name, max_sort_depth, count, digest", BUILTIN_TABLE_DIGESTS)
 def test_builtin_table_translations_are_pinned(name, max_sort_depth, count, digest):
     """Every source term of depth <= 3 over contexts of no or one variable,
     at every sort of arrow depth <= max_sort_depth, translated and printed."""
@@ -231,6 +231,17 @@ def test_builtin_table_translations_are_pinned(name, max_sort_depth, count, dige
     ]
     assert len(lines) == count
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, max_sort_depth, count, digest", BUILTIN_TABLE_DIGESTS)
+def test_builtin_table_checks_its_clauses_once(monkeypatch, name, max_sort_depth, count, digest):
+    builtin_table(name)  # reads and checks the text, if no test did before
+
+    def refuse(*args):
+        raise AssertionError("make_table ran again")
+
+    monkeypatch.setattr("bindsig.translate.make_table", refuse)
+    test_builtin_table_translations_are_pinned(name, max_sort_depth, count, digest)
 
 
 def test_placeholder_duplication_at_same_offset_allowed(fol, ll):
