@@ -352,6 +352,44 @@ def test_stage_three_exact_list(ulc):
     ]
 
 
+def _pinned_cells():
+    """(signature name, ctx, sort, depth, max_sort_depth) of 244 cells:
+    the untyped builtins over 0-2 variables, and stlc and pcf over contexts
+    of 0-1 entries of every sort of depth <= 1."""
+    for name, tops in (("ulc", (4, 4, 4)), ("nat", (4, 4, 4)), ("fol", (3, 3, 3)), ("ll", (3, 2, 2))):
+        star = builtin(name).types.single_sort()
+        for n, top in enumerate(tops):
+            for k in range(top + 1):
+                yield name, (star,) * n, star, k, None
+    for name in ("stlc", "pcf"):
+        sorts = sorts_up_to_depth(builtin(name).types, 1)
+        for n in range(2):
+            for ctx in product(sorts, repeat=n):
+                for sort in sorts:
+                    for k in range(4):
+                        yield name, ctx, sort, k, 1
+
+
+# One line per cell: the cell, chain_count and the SHA-256 of its printed
+# listing, one term a line.  It pins the listing order of every cell.
+LISTINGS_SHA256 = "a1c26e434cf075f4a05579bd33626829e363afa2c7a01f9714b17122a10a3e24"
+
+
+def test_listings_and_counts_are_pinned():
+    sigs, digest, cells, terms = {}, hashlib.sha256(), 0, 0
+    for name, ctx, sort, k, msd in _pinned_cells():
+        sig = sigs.setdefault(name, builtin(name))
+        listing = enumerate_terms(sig, ctx, sort, k, msd)
+        count = chain_count(sig, ctx, sort, k, msd)
+        assert count == len(listing)
+        shown = hashlib.sha256("\n".join(map(print_term, listing)).encode()).hexdigest()
+        line = f"{name} {print_context(ctx)} {print_sort(sort)} {k} {count} {shown}\n"
+        digest.update(line.encode())
+        cells, terms = cells + 1, terms + count
+    assert (cells, terms) == (244, 86061)
+    assert digest.hexdigest() == LISTINGS_SHA256
+
+
 def test_cached_stages_cannot_be_mutated():
     sig, stlc = builtin("ulc"), builtin("stlc")
     for cached in (enumerate_terms(sig, (), STAR, 3), instantiations(stlc, "app", 1)):
