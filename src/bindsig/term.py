@@ -31,7 +31,8 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, product
+from itertools import chain, islice, product
+from math import prod
 from typing import Union
 
 from .errors import (
@@ -508,8 +509,9 @@ def instantiations(
 
 def _productions(sig: Signature, ctx: Context, sort: Sort, max_sort_depth: int | None):
     """The one-step productions of the (ctx, sort) cell, in canonical order:
-    its variables, ascending, and ``(name, params, ((input context, input
-    sort), ...))`` per schema instantiation with that output.  Memoised."""
+    its variables, ascending, ``(name, params, ((input context, input
+    sort), ...))`` per schema instantiation with that output, and all their
+    inputs in one tuple.  Memoised."""
     table = sig._cache.setdefault(("productions", max_sort_depth), {})
     key = (ctx, sort)
     hit = table.get(key)
@@ -521,8 +523,55 @@ def _productions(sig: Signature, ctx: Context, sort: Sort, max_sort_depth: int |
             for params, arity in instantiations(sig, schema.name, max_sort_depth)
             if arity.output == sort
         )
-        hit = table[key] = (variables, ops)
+        hit = table[key] = (variables, ops, tuple(chain.from_iterable(i for _n, _p, i in ops)))
     return hit
+
+
+def _list_stage(variables, ops, pools) -> tuple[Term, ...]:
+    """Listing: the variables, then an Op per tuple of each production's input pools."""
+    pools = iter(pools)
+    terms = (Op(n, p, args) for n, p, ins in ops for args in product(*islice(pools, len(ins))))
+    return (*variables, *terms)
+
+
+def _count_stage(variables, ops, counts) -> int:  # counting: the same fold into the naturals
+    n, counts = len(variables), iter(counts)
+    for _name, _params, inputs in ops:
+        n += prod(islice(counts, len(inputs)))
+    return n
+
+
+def _stage(sig: Signature, ctx, sort: Sort, depth: int, max_sort_depth, kind: str, fill):
+    """The chain stage A_depth at the (ctx, sort) cell, folded by ``fill(variables,
+    ops, values)``: a cell's productions and its input cells' values, in order.
+    Memoised per cell under ``(kind, max_sort_depth)``; stage 0 is ``fill((), (),
+    ())``.  A cell is filled after its input cells, on an explicit stack."""
+    memo = sig._cache.setdefault((kind, max_sort_depth), {})
+    empty = fill((), (), ())
+    if depth <= 0:
+        return empty
+    key = (tuple(ctx), sort, depth)
+    value = memo.get(key)
+    frames = []  # (cell, variables, ops, input depth, inputs to do, values so far) per cell
+    while value is None:  # open a frame for the cell ``key``
+        variables, ops, inputs = _productions(sig, key[0], key[1], max_sort_depth)
+        frames.append((key, variables, ops, key[2] - 1, iter(inputs), []))
+        while frames:
+            cell, variables, ops, depth, inputs, values = frames[-1]
+            for c, s in inputs:
+                key = (c, s, depth)
+                value = memo.get(key) if depth else empty
+                if value is None:
+                    break  # open a frame for it
+                values.append(value)
+            else:  # every input is in: fill the cell
+                frames.pop()
+                value = memo[cell] = fill(variables, ops, values)
+                if frames:
+                    frames[-1][5].append(value)
+                continue
+            break
+    return value
 
 
 def enumerate_terms(
@@ -538,20 +587,7 @@ def enumerate_terms(
     instantiations in canonical parameter order), arguments lexicographic
     in the order of the previous stage.  Stage 0 is empty.
     """
-    cells = sig._cache.setdefault(("cells", max_sort_depth), {})
-    if depth <= 0:
-        return ()
-    ctx = tuple(ctx)
-    key = (ctx, sort, depth)
-    hit = cells.get(key)
-    if hit is None:
-        variables, ops = _productions(sig, ctx, sort, max_sort_depth)
-        out: list[Term] = list(variables)
-        for name, params, inputs in ops:
-            pools = [enumerate_terms(sig, c, s, depth - 1, max_sort_depth) for c, s in inputs]
-            out.extend(Op(name, params, args) for args in product(*pools))
-        hit = cells[key] = tuple(out)
-    return hit
+    return _stage(sig, ctx, sort, depth, max_sort_depth, "cells", _list_stage)
 
 
 def chain_count(
@@ -562,24 +598,7 @@ def chain_count(
     max_sort_depth: int | None = None,
 ) -> int:
     """|A_depth| at the cell, via the arity recurrence (exact integers)."""
-    counts = sig._cache.setdefault(("counts", max_sort_depth), {})
-    if depth <= 0:
-        return 0
-    ctx = tuple(ctx)
-    key = (ctx, sort, depth)
-    n = counts.get(key)
-    if n is None:
-        variables, ops = _productions(sig, ctx, sort, max_sort_depth)
-        n = len(variables)
-        for _name, _params, inputs in ops:
-            prod = 1
-            for c, s in inputs:
-                prod *= chain_count(sig, c, s, depth - 1, max_sort_depth)
-                if prod == 0:
-                    break
-            n += prod
-        counts[key] = n
-    return n
+    return _stage(sig, ctx, sort, depth, max_sort_depth, "counts", _count_stage)
 
 
 def random_term(sig, ctx, sort, depth, rng, max_sort_depth=None) -> Term:
@@ -587,21 +606,27 @@ def random_term(sig, ctx, sort, depth, rng, max_sort_depth=None) -> Term:
 
     Picks uniformly among the productions that stay inhabited at the
     remaining depth, so the draw always succeeds when the cell itself is
-    inhabited; raises ValueError otherwise.
+    inhabited; raises ValueError otherwise.  Picks are made in pre-order
+    on an explicit stack, reading the counts ``chain_count`` left.
     """
-    ctx = tuple(ctx)
     if chain_count(sig, ctx, sort, depth, max_sort_depth) == 0:
         raise ValueError("empty cell: no term to draw")
-    variables, ops = _productions(sig, ctx, sort, max_sort_depth)
-    choices = list(variables) + [
-        op for op in ops if all(chain_count(sig, c, s, depth - 1, max_sort_depth) for c, s in op[2])
-    ]
-    pick = choices[rng.below(len(choices))]
-    if type(pick) is Var:
-        return pick
-    name, params, inputs = pick
-    args = tuple(random_term(sig, ic, isort, depth - 1, rng, max_sort_depth) for ic, isort in inputs)
-    return Op(name, params, args)
+    counts = sig._cache[("counts", max_sort_depth)]
+    picks, todo = [], [(tuple(ctx), sort, depth)]
+    while todo:
+        ctx, sort, depth = todo.pop()
+        variables, ops, _ = _productions(sig, ctx, sort, max_sort_depth)
+        inhabited = [op for op in ops if all(counts.get((c, s, depth - 1)) for c, s in op[2])]
+        pick = (*variables, *inhabited)[rng.below(len(variables) + len(inhabited))]
+        picks.append(pick)
+        if type(pick) is not Var:
+            todo += ((c, s, depth - 1) for c, s in reversed(pick[2]))
+    built = []  # the terms of the later picks, a node's first argument on top
+    for pick in reversed(picks):
+        if type(pick) is not Var:
+            pick = Op(pick[0], pick[1], tuple(built.pop() for _ in pick[2]))
+        built.append(pick)
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

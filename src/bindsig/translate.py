@@ -42,6 +42,7 @@ from .sigdef import (
     _load_signature,
     _map_leaves,
     _parse_sort_expr,
+    check_sort,
     print_sort,
     sorts_up_to_depth,
 )
@@ -87,6 +88,8 @@ class TypeMorphism:
             raise TypeSystemMismatch("homomorphic mode needs arrows in the target")
 
     def apply(self, sort: Sort) -> Sort:
+        """The image of ``sort``; MalformedSort unless it is a source sort."""
+        check_sort(self.source, sort)
         if self.mode == "collapse":
             return self.target.single_sort()
         return _map_leaves(sort, lambda base: self.base_map[base.name])

@@ -289,9 +289,18 @@ def test_deeply_nested_sort_is_read(capsys):
     assert (code, out, err) == (0, "", "")
 
 
-def test_deep_enumeration_is_a_one_line_error(capsys):
-    # chain_count recurses once per depth level
+def test_deep_enumeration_is_counted(capsys):
+    # the chain's cells are filled on an explicit stack
     code, out, err = run(capsys, "enum", "--sig", "nat", "--ctx", "0", "--depth", "3000", "--count")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "RecursionError" in err
+    assert (code, out, err) == (0, "3000\n", "")
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_error_is_one_line(capsys, monkeypatch, error):
+    def exhausted(*args):
+        raise error()
+
+    monkeypatch.setattr("bindsig.cli.chain_count", exhausted)
+    code, out, err = run(capsys, "enum", "--sig", "nat", "--ctx", "0", "--depth", "3", "--count")
+    message = f"resource error: {error.__name__}: input too large or nested too deeply\n"
+    assert (code, out, err) == (2, "", message)

@@ -11,6 +11,8 @@ term model gives it back, checking each node once.  Sorts have one walk on
 an explicit stack, and one reader loop, so a 100 000-deep arrow sort is
 read, printed, compared, checked, instantiated and mapped, and a term whose
 operator parameters are 20 000-deep sorts is checked, folded and translated.
+The chain's cells are filled, and random terms drawn, on explicit stacks
+too, so a stage thousands of levels deep is counted, listed and drawn.
 """
 
 import time
@@ -27,8 +29,11 @@ from bindsig import (
     Renaming,
     TypeMorphism,
     Var,
+    XorShift64Star,
     builtin,
     builtin_table,
+    chain_count,
+    enumerate_terms,
     fold,
     free_extend,
     fv_model,
@@ -40,6 +45,7 @@ from bindsig import (
     parse_term,
     print_sort,
     print_term,
+    random_term,
     rename,
     sort_of,
     subst,
@@ -49,7 +55,7 @@ from bindsig import (
 )
 from bindsig.cli import main
 from bindsig.errors import OffsetMismatch, ScopeError
-from bindsig.sigdef import check_sort
+from bindsig.sigdef import check_sort, parse_signature
 from bindsig.term import term_depth
 
 N = 100_000
@@ -344,3 +350,36 @@ def test_deep_sort_parameters():
     assert fold(term_model(stlc), stlc, (), t) == t
     assert translate_term(identity_table(stlc), (), t) == t
     assert translate_term(builtin_table("stlc2ulc"), (), t) == Op("abs", (), (Var(0),))
+
+
+def timed(f, *args):
+    started = time.perf_counter()
+    value = f(*args)
+    assert time.perf_counter() - started < 5
+    return value
+
+
+def test_deep_stage():
+    # s0 .. s1200, a constant of s0 and an operator from each rung to the
+    # next: the one term of s1200 is 1 201 deep, and so is its only cell.
+    rungs = 1200
+    sig = parse_signature(
+        "signature ladder\nsorts "
+        + " | ".join(f"s{i}" for i in range(rungs + 1))
+        + "\nop c : () -> s0\n"
+        + "".join(f"op f{i} : (s{i - 1}) -> s{i}\n" for i in range(1, rungs + 1))
+    )
+    top = BaseSort(f"s{rungs}")
+    expected = Op("c")
+    for i in range(1, rungs + 1):
+        expected = Op(f"f{i}", (), (expected,))
+    assert timed(chain_count, sig, (), top, rungs + 1) == 1
+    assert timed(enumerate_terms, sig, (), top, rungs + 1) == (expected,)
+    assert timed(random_term, sig, (), top, rungs + 1, XorShift64Star(1)) == expected
+    assert chain_count(sig, (), top, rungs) == 0 and enumerate_terms(sig, (), top, rungs) == ()
+    with pytest.raises(ValueError):
+        random_term(sig, (), top, rungs, XorShift64Star(1))
+
+
+def test_deep_stage_count():
+    assert timed(chain_count, builtin("nat"), (), STAR, N) == N

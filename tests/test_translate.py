@@ -11,6 +11,7 @@ from bindsig import (
     ParamRef,
     Placeholder,
     Renaming,
+    SortRef,
     TypeMorphism,
     Var,
     XorShift64Star,
@@ -32,6 +33,7 @@ from bindsig import (
 from bindsig.errors import (
     ArityMismatch,
     IllFormed,
+    MalformedSort,
     MissingClause,
     OffsetMismatch,
     ParamArityMismatch,
@@ -114,6 +116,28 @@ def test_type_morphism_validation_messages(stlc, target, base_map, mode, message
     with pytest.raises(TypeSystemMismatch) as caught:
         TypeMorphism(stlc.types, builtin(target).types, base_map, mode)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("mode", ["homomorphic", "collapse"])
+@pytest.mark.parametrize(
+    "sort, message",
+    [
+        (SortRef(0), "not a sort: SortRef(index=0)"),
+        ("iota", "not a sort: 'iota'"),
+        (5, "not a sort: 5"),
+        (BaseSort("bogus"), "unknown base sort 'bogus'"),
+        (ArrowSort(IOTA, BaseSort("bogus")), "unknown base sort 'bogus'"),
+    ],
+)
+def test_type_morphism_apply_checks_its_argument(stlc, ulc, mode, sort, message):
+    if mode == "collapse":
+        g, image = TypeMorphism.collapse(stlc.types, ulc.types), STAR
+    else:
+        g, image = TypeMorphism(stlc.types, stlc.types, {"iota": ARR}), ArrowSort(ARR, ARR)
+    with pytest.raises(MalformedSort) as caught:
+        g.apply(sort)
+    assert str(caught.value) == message
+    assert g.apply(ARR) == image
 
 
 # ---------------------------------------------------------------------------
