@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from decimal import Decimal
 
 from .errors import BindsigError, ContextMismatch, UnknownBuiltin
 from .model import fold, fv_model, run_law_suites
@@ -41,6 +42,12 @@ def _resolve_sort(sig: Signature, text: str | None):
     return sort
 
 
+def _digits(n: int) -> str:
+    """The decimal digits of ``n``, however many: ``str`` refuses more than
+    the interpreter's int-to-str limit, ``Decimal`` does not."""
+    return str(Decimal(n))
+
+
 def _emit(records: bool, text_value: str, record: dict) -> None:
     if records:
         print(json.dumps(record, sort_keys=True))
@@ -62,8 +69,8 @@ def _cmd_enum(args) -> int:
     sort = _resolve_sort(sig, args.sort)
     records = args.format == "records"
     if args.count:
-        n = chain_count(sig, ctx, sort, args.depth, args.max_sort_depth)
-        _emit(records, str(n), {"count": str(n)})
+        n = _digits(chain_count(sig, ctx, sort, args.depth, args.max_sort_depth))
+        _emit(records, n, {"count": n})
         return 0
     for t in enumerate_terms(sig, ctx, sort, args.depth, args.max_sort_depth):
         text = print_term(t)
@@ -77,8 +84,8 @@ def _cmd_chain(args) -> int:
     sort = _resolve_sort(sig, args.sort)
     records = args.format == "records"
     for k in range(args.depth + 1):
-        n = chain_count(sig, ctx, sort, k, args.max_sort_depth)
-        _emit(records, f"{k} {n}", {"stage": k, "count": str(n)})
+        n = _digits(chain_count(sig, ctx, sort, k, args.max_sort_depth))
+        _emit(records, f"{k} {n}", {"stage": k, "count": n})
     return 0
 
 
@@ -226,7 +233,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as e:
+    except (RecursionError, MemoryError, OverflowError) as e:
         message = "input too large or nested too deeply"
         print(f"resource error: {type(e).__name__}: {message}", file=sys.stderr)
         return 2

@@ -512,6 +512,15 @@ class TokenStream:
             raise self.error(f"expected {kind}, found {text or 'end of input'!r}", offset)
         return text
 
+    def expect_nat(self) -> int:
+        """The value of the next token, which must be a numeral."""
+        offset = self.peek()[2]
+        text = self.expect_kind("nat")
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"numeral too long: {len(text)} digits", offset) from None
+
     def at(self, text: str) -> bool:
         return self.tokens[self.pos][1] == text
 

@@ -27,6 +27,7 @@ once on the node it has just built.
 
 from __future__ import annotations
 
+import re
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from .errors import (
     ArityMismatch,
     BindsigError,
     IllFormed,
+    ParseError,
     ScopeError,
     SortMismatch,
     Unbounded,
@@ -665,8 +667,7 @@ def _read_param(ts: TokenStream, refs: dict | None):
     """A natural, a name bound in ``refs``, or a sort."""
     kind, text, _ = ts.peek()
     if kind == "nat":
-        ts.next()
-        return int(text)
+        return ts.expect_nat()
     if refs and text in refs:
         ts.next()
         return refs[text]
@@ -697,7 +698,7 @@ def _read_term(ts: TokenStream, refs: dict | None = None, placeholder=None):
                 frames.append((name, params, []))
                 continue
             if head == "var" or (head == "ph" and placeholder is not None):
-                index = int(ts.expect_kind("nat"))
+                index = ts.expect_nat()
                 ts.expect(")")
                 value = Var(index) if head == "var" else placeholder(index)
             else:
@@ -708,10 +709,64 @@ def _read_term(ts: TokenStream, refs: dict | None = None, placeholder=None):
         frames[-1][2].append(value)
 
 
+# One node head of a plain text, after any blanks: ``(op NAME`` with its
+# ``<PARAMS>``, ``(var N)`` or ``)``.  Plain characters are those the scanner
+# reads as blanks, words, numerals and ``( ) < > ,``: no comment, no path.
+_HEAD_RE = re.compile(
+    r"[ \t\r\n]*(?:\([ \t\r\n]*(?:op[ \t\r\n]+([A-Za-z_]\w*)(?:[ \t\r\n]*<([\w \t\r\n(),]*>))?"
+    r"|var[ \t\r\n]+(\d+)[ \t\r\n]*\))|(\)))",
+    re.ASCII,
+)
+_BLANKS_RE = re.compile(r"[ \t\r\n]*")
+
+
+def _read_plain(text: str) -> Term | None:
+    """The term of a plain ``text``, one regex match per node head, or None
+    where the token reader must decide.  Each distinct parameter list is
+    read once, by ``_read_param``, and its tuple shared."""
+    match, known, frames, pos = _HEAD_RE.match, {}, [], 0
+    while True:
+        m = match(text, pos)
+        if m is None:
+            return None
+        pos, kind = m.end(), m.lastindex
+        if kind <= 2:  # (op NAME, with <PARAMS> when kind is 2
+            params = ()
+            if kind == 2:
+                params = known.get(m[2])
+                if params is None:
+                    ts = TokenStream(m[2])
+                    try:
+                        params = tuple(ts.delimited(lambda: _read_param(ts, None), ">"))
+                    except ParseError:
+                        return None
+                    known[m[2]] = params
+            frames.append((m[1], params, []))
+            continue
+        if kind == 3:
+            try:
+                value = Var(int(m[3]))
+            except ValueError:  # past the interpreter's digit limit
+                return None
+        elif frames:
+            name, params, args = frames.pop()
+            value = Op(name, params, tuple(args))
+        else:
+            return None
+        if not frames:
+            return value if _BLANKS_RE.fullmatch(text, pos) else None
+        frames[-1][2].append(value)
+
+
 def parse_term(text: str) -> Term:
-    ts = TokenStream(text)
-    t = _read_term(ts)
-    ts.expect_eof()
+    """Read a term.  A plain text is read one node head at a time; any
+    other text, and any text that reading rejects, goes to the token
+    reader, which alone reports a ParseError."""
+    t = _read_plain(text)
+    if t is None:
+        ts = TokenStream(text)
+        t = _read_term(ts)
+        ts.expect_eof()
     return t
 
 
@@ -743,8 +798,8 @@ def print_term(t: Term) -> str:
 def parse_context(types: TypeSystem, text: str) -> Context:
     """``(ctx s0 s1 ...)`` or, for a single-sorted system, a bare size."""
     text = text.strip()
-    if text.isdigit():
-        n = int(text)
+    if text.isdecimal():
+        n = TokenStream(text).expect_nat()
         if n == 0:
             return ()
         return (types.single_sort(),) * n

@@ -1,9 +1,12 @@
 import hashlib
 import json
+from decimal import Decimal
 
 import pytest
 
 from bindsig.cli import main
+
+from oracles import ulc_stage_count
 
 
 def run(capsys, *argv):
@@ -293,6 +296,50 @@ def test_deep_enumeration_is_counted(capsys):
     # the chain's cells are filled on an explicit stack
     code, out, err = run(capsys, "enum", "--sig", "nat", "--ctx", "0", "--depth", "3000", "--count")
     assert (code, out, err) == (0, "3000\n", "")
+
+
+@pytest.mark.parametrize("depth", [16, 20])
+def test_counts_of_any_size_are_printed(capsys, depth):
+    # past the interpreter's int-to-str limit (4 300 digits) from depth 16 on
+    expected = ulc_stage_count(depth, 0)
+    code, out, err = run(capsys, "enum", "--sig", "ulc", "--ctx", "0", "--depth", str(depth), "--count")
+    assert (code, err) == (0, "") and Decimal(out) == expected and out == out.strip() + "\n"
+    code, out, err = run(capsys, "chain", "--sig", "ulc", "--depth", str(depth), "--format", "records")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert (code, err, len(records)) == (0, "", depth + 1)
+    for k, record in enumerate(records):
+        assert record["stage"] == k and Decimal(record["count"]) == ulc_stage_count(k, 0)
+    code, out, err = run(capsys, "chain", "--sig", "ulc", "--depth", str(depth))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"{depth} {records[-1]['count']}"
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["fv", "--ctx", "0", "(var " + "7" * 5000 + ")"], "1:6"),
+        (["fv", "--ctx", "0", "(op app (var 0)\n (var " + "1" * 4301 + "))"], "2:7"),
+        (["fv", "--ctx", "1" + "0" * 5000, "(var 0)"], "1:1"),
+        (["fv", "--sig", "pcf", "--ctx", "0", "(op k<" + "1" * 5000 + ">)"], "1:7"),
+    ],
+    ids=["var-index", "var-index-on-line-2", "context-size", "nat-parameter"],
+)
+def test_numerals_python_refuses_are_parse_errors(capsys, argv, where):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ParseError: {where}: numeral too long: ") and err.count("\n") == 1
+
+
+def test_context_size_must_be_a_decimal_numeral(capsys):
+    # '²' is a digit to str.isdigit() but no decimal: the scanner reports it
+    code, out, err = run(capsys, "fv", "--ctx", "²", "(var 0)")
+    assert (code, out, err) == (1, "", "ParseError: 1:1: unexpected character '²'\n")
+
+
+def test_context_too_large_to_build_is_one_line(capsys):
+    code, out, err = run(capsys, "fv", "--ctx", "99999999999999999999", "(var 0)")
+    message = "resource error: OverflowError: input too large or nested too deeply\n"
+    assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError])

@@ -13,6 +13,7 @@ read, printed, compared, checked, instantiated and mapped, and a term whose
 operator parameters are 20 000-deep sorts is checked, folded and translated.
 The chain's cells are filled, and random terms drawn, on explicit stacks
 too, so a stage thousands of levels deep is counted, listed and drawn.
+A typed chain's text is read one node head per regex match.
 """
 
 import time
@@ -55,8 +56,8 @@ from bindsig import (
 )
 from bindsig.cli import main
 from bindsig.errors import OffsetMismatch, ScopeError
-from bindsig.sigdef import check_sort, parse_signature
-from bindsig.term import term_depth
+from bindsig.sigdef import TokenStream, check_sort, parse_signature
+from bindsig.term import _read_term, term_depth
 
 N = 100_000
 STAR = BaseSort("*")
@@ -357,6 +358,17 @@ def timed(f, *args):
     value = f(*args)
     assert time.perf_counter() - started < 5
     return value
+
+
+def test_deep_typed_abs_chain_is_read_one_head_at_a_time():
+    text = "(op abs<iota,iota> " * N + "(var 0)" + ")" * N
+    expected = Var(0)
+    for _ in range(N):
+        expected = Op("abs", (IOTA, IOTA), (expected,))
+    t = timed(parse_term, text)
+    ts = TokenStream(text)
+    assert t == expected and t == _read_term(ts) and ts.at_eof()
+    assert t.args[0].args[0].params is t.params  # one tuple per parameter text
 
 
 def test_deep_stage():

@@ -42,8 +42,8 @@ from bindsig.errors import (
     Unbounded,
 )
 from bindsig import term as term_module
-from bindsig.sigdef import Signature, parse_signature, sorts_up_to_depth
-from bindsig.term import instantiations, term_depth
+from bindsig.sigdef import Signature, TokenStream, parse_signature, sorts_up_to_depth
+from bindsig.term import _read_plain, _read_term, instantiations, term_depth
 
 from oracles import ulc_stage_count, well_formed_terms
 
@@ -601,6 +601,115 @@ def test_print_parse_roundtrip_random(ulc, data):
     rng = XorShift64Star(data.draw(st.integers(min_value=0, max_value=2**63)))
     t = random_term(ulc, (STAR, STAR), STAR, 6, rng)
     assert parse_term(print_term(t)) == t
+
+
+def _read_tokens(text):
+    ts = TokenStream(text)
+    t = _read_term(ts)
+    ts.expect_eof()
+    return t
+
+
+def _outcome(read, text):
+    """The term ``read`` gives, or its exception's class, message and position."""
+    try:
+        return read(text)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+
+
+BLANKS = [" ", "  ", "\t", "\n", "\r\n", " \r\n\t"]
+# plain characters, and characters the scanner reads otherwise or rejects
+EDIT_CHARS = "()<>, \t\r\n_azAZ0919opvar#./-?*:[]|=\x0c\u00e9\u00b2\u0663"
+
+
+EDGE_TEXTS = [
+    "( var 0 )",
+    "(op app<iota,iota>(var 0)(var 1))",
+    "(op abs< iota ,\tarrow (iota ,iota) > (var 0))",
+    "(op k<007>)",
+    "\r\n(op k<0>)\n",
+    "(op abs<iota> (var 0))",
+    "(op abs<> (var 0))",
+    "(op abs<iota,iota,> (var 0))",
+    "(op abs<,iota> (var 0))",
+    "(op abs<arrow> (var 0))",
+    "(op abs<arrow(iota)> (var 0))",
+    "(op abs<iota,iota>> (var 0))",
+    "(op abs<iota,iota (var 0))",
+    "(op abs<iota iota> (var 0))",
+    "(op k<1a>)",
+    "(var0)",
+    "(opabs (var 0))",
+    "(op 0bs (var 0))",
+    "(op abs (var 0x))",
+    "(op abs (var 0)))",
+    "(op app (var 0 (var 1))",
+    "(var 0) (var 1)",
+    "(op abs (var 0)) extra",
+    "(op",
+    ")",
+    "",
+    " \t",
+    "(ph 0)",
+    "(op abs (ph 0))",
+    "(var 0)# comment",
+    "\x0c(var 0)",
+    "(var 0)\x0c",
+    "(op abs\x0b(var 0))",
+    "(op abs\xa0(var 0))",
+    "\u3000(var 0)",
+    "(op ab\u00e9 (var 0))",
+    "(var \u0663)",
+    "(op k<\u0663>)",
+    "(op k<\u00b2>)",
+    "(op a-b)",
+    "(op a? (var 0))",
+    "(op *)",
+    "(op abs.x (var 0))",
+    "(op abs (var 0.5))",
+    "(op app (var 0) (var " + "9" * 4301 + "))",
+    "(op k<" + "9" * 4301 + ">)",
+    "(op k<" + "9" * 4300 + ">)",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS, ids=lambda text: repr(text[:40]) + f"-{len(text)}")
+def test_parse_term_reads_edge_texts_as_the_token_reader(text):
+    assert _outcome(parse_term, text) == _outcome(_read_tokens, text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_parse_term_reads_what_the_token_reader_reads(ulc, stlc, pcf, data):
+    sig, ctx, sort, max_sort_depth = data.draw(
+        st.sampled_from(
+            [
+                (ulc, (STAR, STAR), STAR, None),
+                (stlc, (IOTA, ArrowSort(IOTA, IOTA)), IOTA, 1),
+                (pcf, (BaseSort("nat"),), BaseSort("nat"), 1),
+            ]
+        )
+    )
+    rng = XorShift64Star(data.draw(st.integers(min_value=0, max_value=2**63)))
+    t = random_term(sig, ctx, sort, data.draw(st.integers(1, 5)), rng, max_sort_depth)
+    # re-space: any blank for each space, and blanks around punctuation
+    pieces = [data.draw(st.sampled_from(["", *BLANKS]))]
+    for c in print_term(t):
+        if c == " ":
+            pieces.append(data.draw(st.sampled_from(BLANKS)))
+            continue
+        if c in "()<>,":
+            pieces.append(data.draw(st.sampled_from(["", "", *BLANKS])))
+        pieces.append(c)
+    text = "".join(pieces) + data.draw(st.sampled_from(["", *BLANKS]))
+    assert _read_plain(text) == t and parse_term(text) == t and _read_tokens(text) == t
+    # one edit: delete, insert or replace a character
+    i = data.draw(st.integers(0, len(text) - 1))
+    edit = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+    c = data.draw(st.sampled_from(EDIT_CHARS))
+    mutant = text[:i] + ("" if edit == "delete" else c) + text[i + (edit != "insert") :]
+    assert _outcome(parse_term, mutant) == _outcome(_read_tokens, mutant)
 
 
 def test_context_print_parse(ulc, stlc):
