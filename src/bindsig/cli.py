@@ -12,16 +12,17 @@ import functools
 import json
 import sys
 from decimal import Decimal
+from itertools import islice
 
 from .errors import BindsigError, ContextMismatch, UnknownBuiltin
 from .model import fold, fv_model, run_law_suites
 from .sigdef import Signature, TokenStream, _load_signature, parse_signature, parse_sort
 from .subst import make_assignment, subst
 from .term import (
+    _printed_stage,
     _read_term,
     chain_count,
     check_context,
-    enumerate_terms,
     parse_context,
     parse_term,
     print_term,
@@ -48,6 +49,9 @@ def _digits(n: int) -> str:
     return str(Decimal(n))
 
 
+_CHUNK = 4096  # listing lines per write
+
+
 def _emit(records: bool, text_value: str, record: dict) -> None:
     if records:
         print(json.dumps(record, sort_keys=True))
@@ -72,9 +76,12 @@ def _cmd_enum(args) -> int:
         n = _digits(chain_count(sig, ctx, sort, args.depth, args.max_sort_depth))
         _emit(records, n, {"count": n})
         return 0
-    for t in enumerate_terms(sig, ctx, sort, args.depth, args.max_sort_depth):
-        text = print_term(t)
-        _emit(records, text, {"term": text})
+    lines = _printed_stage(sig, ctx, sort, args.depth, args.max_sort_depth)
+    if records:  # as json.dumps({"term": text}, sort_keys=True), without the dict
+        lines = ('{"term": ' + json.dumps(text) + "}" for text in lines)
+    write = sys.stdout.write
+    while chunk := list(islice(lines, _CHUNK)):
+        write("\n".join(chunk) + "\n")
     return 0
 
 

@@ -96,6 +96,12 @@ class BaseSort:
     def __hash__(self):
         return self._hash
 
+    def __copy__(self):  # immutable: a copy is the value itself
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 @dataclass(frozen=True, slots=True)
 class ArrowSort:
@@ -108,6 +114,9 @@ class ArrowSort:
 
     def __hash__(self):
         return self._hash
+
+    __copy__ = BaseSort.__copy__  # immutable: copies, deep ones too, are the value itself
+    __deepcopy__ = BaseSort.__deepcopy__
 
     def __eq__(self, other):
         if type(other) is not ArrowSort:

@@ -20,7 +20,8 @@ Each node also carries a bound on its loose indices, 1 + the largest
 variable index occurring in it (0 when there is none), so that
 substitution can return untouched subterms as they are; an operator
 computes its bound on first use and keeps it.  Instances are immutable
-by contract; nothing in the library mutates them beyond filling in that
+by contract, so ``copy.copy`` and ``copy.deepcopy`` give them back as
+they are; nothing in the library mutates them beyond filling in that
 hash and bound, and beyond the check certificate :func:`mk_op` writes
 once on the node it has just built.
 """
@@ -89,6 +90,12 @@ class Term:
     """Abstract term node; concrete nodes are Var and Op."""
 
     __slots__ = ()
+
+    def __copy__(self):  # immutable: copies, deep ones too, are the value itself
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 class Var(Term):
@@ -454,17 +461,40 @@ def sort_of(sig: Signature, ctx: Sequence[Sort], t: Term) -> Sort:
 
 
 def term_depth(t: Term) -> int:
-    """Constructor depth: variables and constants count 1."""
-    deepest = 0
-    stack = [(t, 1)]
+    """Constructor depth: variables and constants count 1.
+
+    Each distinct operator is measured once, after its arguments, on an
+    explicit stack, so a shared subterm costs one step however often it
+    occurs."""
+    if type(t) is not Op:
+        if type(t) is Var:
+            return 1
+        raise IllFormed(f"not a term: {t!r}")
+    depths = {}  # id -> depth of each operator measured in this call
+    stack = [t]
     while stack:
-        t, depth = stack.pop()
-        deepest = max(deepest, depth)
-        if type(t) is Op:
-            stack.extend((a, depth + 1) for a in t.args)
-        elif type(t) is not Var:
-            raise IllFormed(f"not a term: {t!r}")
-    return deepest
+        x = stack[-1]
+        if id(x) in depths:  # a shared node, pushed twice
+            stack.pop()
+            continue
+        deepest, pending = 0, False
+        for a in x.args:
+            kind = type(a)
+            if kind is Op:
+                d = depths.get(id(a))
+                if d is None:
+                    stack.append(a)
+                    pending = True
+                elif d > deepest:
+                    deepest = d
+            elif kind is Var:
+                deepest = deepest or 1
+            else:
+                raise IllFormed(f"not a term: {a!r}")
+        if not pending:
+            depths[id(x)] = deepest + 1
+            stack.pop()
+    return depths[id(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +543,24 @@ def _productions(sig: Signature, ctx: Context, sort: Sort, max_sort_depth: int |
     """The one-step productions of the (ctx, sort) cell, in canonical order:
     its variables, ascending, ``(name, params, ((input context, input
     sort), ...))`` per schema instantiation with that output, and all their
-    inputs in one tuple.  Memoised."""
-    table = sig._cache.setdefault(("productions", max_sort_depth), {})
+    inputs in one tuple.  Memoised, and read from an index of the
+    instantiations by output sort, built once per signature and bound."""
+    cache = sig._cache
+    by_output = cache.get(("by_output", max_sort_depth))
+    if by_output is None:
+        by_output = {}
+        for schema in sig.schemas:
+            for params, arity in instantiations(sig, schema.name, max_sort_depth):
+                by_output.setdefault(arity.output, []).append((schema.name, params, arity))
+        cache[("by_output", max_sort_depth)] = by_output
+    table = cache.setdefault(("productions", max_sort_depth), {})
     key = (ctx, sort)
     hit = table.get(key)
     if hit is None:
         variables = tuple(Var(i) for i, entry in enumerate(ctx) if entry == sort)
         ops = tuple(
-            (schema.name, params, tuple((inp.bound + ctx, inp.sort) for inp in arity.inputs))
-            for schema in sig.schemas
-            for params, arity in instantiations(sig, schema.name, max_sort_depth)
-            if arity.output == sort
+            (name, params, tuple((inp.bound + ctx, inp.sort) for inp in arity.inputs))
+            for name, params, arity in by_output.get(sort, ())
         )
         hit = table[key] = (variables, ops, tuple(chain.from_iterable(i for _n, _p, i in ops)))
     return hit
@@ -601,6 +638,39 @@ def chain_count(
 ) -> int:
     """|A_depth| at the cell, via the arity recurrence (exact integers)."""
     return _stage(sig, ctx, sort, depth, max_sort_depth, "counts", _count_stage)
+
+
+def _text_lines(variables, ops, pools):
+    """The texts of ``_list_stage``'s terms, in its order, from the texts of
+    the input cells: the same fold into strings."""
+    for v in variables:
+        yield f"(var {v.index})"
+    pools = iter(pools)
+    for name, params, inputs in ops:
+        head = _head(name, params)
+        if not inputs:
+            yield head + ")"
+            continue
+        head += " "
+        for args in product(*islice(pools, len(inputs))):
+            yield head + " ".join(args) + ")"
+
+
+def _text_stage(variables, ops, pools) -> tuple[str, ...]:
+    # Unpacked, as _list_stage's tuple is: tuple() of a generator regrows the
+    # tuple in place, and over many listings that grew the process's heap.
+    return (*_text_lines(variables, ops, pools),)
+
+
+def _printed_stage(sig: Signature, ctx, sort: Sort, depth: int, max_sort_depth):
+    """``print_term`` of each term of ``enumerate_terms``'s listing, in order,
+    as a generator.  Only the input cells, at ``depth - 1``, are filled and
+    memoised; the top cell's texts are made as they are asked for."""
+    if depth <= 0:
+        return iter(())
+    variables, ops, inputs = _productions(sig, tuple(ctx), sort, max_sort_depth)
+    pools = [_stage(sig, c, s, depth - 1, max_sort_depth, "texts", _text_stage) for c, s in inputs]
+    return _text_lines(variables, ops, pools)
 
 
 def random_term(sig, ctx, sort, depth, rng, max_sort_depth=None) -> Term:
@@ -773,6 +843,14 @@ def parse_term(text: str) -> Term:
 _CLOSE = object()  # print_term's closing parenthesis: no argument is it
 
 
+def _head(name: str, params: tuple) -> str:
+    """An operator's text up to its arguments: ``(op NAME`` and any ``<PARAMS>``."""
+    if not params:
+        return "(op " + name
+    texts = ",".join(str(p) if isinstance(p, int) else print_sort(p) for p in params)
+    return f"(op {name}<{texts}>"
+
+
 def print_term(t: Term) -> str:
     out: list[str] = []  # each term's text starts with a space
     stack: list = [t]  # terms still to print, and closing parentheses
@@ -784,10 +862,8 @@ def print_term(t: Term) -> str:
         elif type(t) is Var:
             out.append(f" (var {t.index})")
         elif type(t) is Op:
-            out.append(" (op " + t.name)
-            if t.params:
-                params = (str(p) if isinstance(p, int) else print_sort(p) for p in t.params)
-                out.append("<" + ",".join(params) + ">")
+            # _head, with its parameter-free case in place: most nodes have none
+            out.append(" " + _head(t.name, t.params) if t.params else " (op " + t.name)
             stack.append(close)
             stack.extend(reversed(t.args))
         else:

@@ -77,8 +77,10 @@ def test_enum_outputs_reparse(capsys):
 
 
 def test_enum_typed_requires_bound(capsys):
-    code, _out, err = run(capsys, "enum", "--sig", "stlc", "--ctx", "0", "--sort", "iota")
-    assert code == 1 and "Unbounded" in err
+    message = "Unbounded: schema app has sort parameters; pass a sort-depth bound\n"
+    for fmt in ("text", "records"):
+        argv = ("enum", "--sig", "stlc", "--ctx", "0", "--sort", "iota", "--format", fmt)
+        assert run(capsys, *argv) == (1, "", message)
 
 
 def test_enum_records_format(capsys):
@@ -87,6 +89,34 @@ def test_enum_records_format(capsys):
     )
     assert code == 0
     assert json.loads(out.strip()) == {"term": "(op abs (var 0))"}
+
+
+@pytest.mark.parametrize(
+    "sig, ctx, sort, depth, bound",
+    [
+        ("ulc", "1", None, 4, None),
+        ("ulc", "2", None, 4, None),  # 10 087 lines: more than one write
+        ("fol", "1", None, 3, None),
+        ("stlc", "(ctx iota)", "arrow(iota,iota)", 3, 1),
+        ("pcf", "(ctx nat)", "nat", 3, 1),
+        ("ulc", "1", None, 0, None),
+        ("stlc", "0", "iota", 0, None),  # stage 0 is empty, bound or not
+    ],
+)
+def test_enum_listings_are_the_printed_terms(capsys, sig, ctx, sort, depth, bound):
+    from bindsig import builtin, enumerate_terms, parse_context, parse_sort, print_term
+
+    signature = builtin(sig)
+    cell = parse_context(signature.types, ctx)
+    cell_sort = parse_sort(sort) if sort else signature.types.single_sort()
+    texts = [print_term(t) for t in enumerate_terms(signature, cell, cell_sort, depth, bound)]
+    assert bool(texts) == (depth > 0)
+    argv = ["enum", "--sig", sig, "--ctx", ctx, "--depth", str(depth)]
+    argv += ["--sort", sort] if sort else []
+    argv += ["--max-sort-depth", str(bound)] if bound is not None else []
+    assert run(capsys, *argv) == (0, "".join(text + "\n" for text in texts), "")
+    records = "".join(json.dumps({"term": text}, sort_keys=True) + "\n" for text in texts)
+    assert run(capsys, *argv, "--format", "records") == (0, records, "")
 
 
 def test_chain_stages(capsys):

@@ -43,7 +43,7 @@ from bindsig.errors import (
 )
 from bindsig import term as term_module
 from bindsig.sigdef import Signature, TokenStream, parse_signature, sorts_up_to_depth
-from bindsig.term import _read_plain, _read_term, instantiations, term_depth
+from bindsig.term import _printed_stage, _read_plain, _read_term, instantiations, term_depth
 
 from oracles import ulc_stage_count, well_formed_terms
 
@@ -381,8 +381,9 @@ def test_listings_and_counts_are_pinned():
         sig = sigs.setdefault(name, builtin(name))
         listing = enumerate_terms(sig, ctx, sort, k, msd)
         count = chain_count(sig, ctx, sort, k, msd)
-        assert count == len(listing)
-        shown = hashlib.sha256("\n".join(map(print_term, listing)).encode()).hexdigest()
+        printed = list(_printed_stage(sig, ctx, sort, k, msd))  # the stage folded into texts
+        assert count == len(listing) and printed == list(map(print_term, listing))
+        shown = hashlib.sha256("\n".join(printed).encode()).hexdigest()
         line = f"{name} {print_context(ctx)} {print_sort(sort)} {k} {count} {shown}\n"
         digest.update(line.encode())
         cells, terms = cells + 1, terms + count
