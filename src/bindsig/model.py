@@ -28,7 +28,6 @@ from .term import (
     Var,
     _Scope,
     _walk,
-    chain_count,
     enumerate_terms,
     mk_op,
     mk_var,
@@ -71,6 +70,9 @@ class ModelSpec:
     passes contexts as sequences that compare and hash equal to the tuple
     ``bound ++ ctx``; materialising one (``tuple(ctx)``, hashing, slicing,
     iterating) costs its length.
+
+    The law suites memoise their folds on the model, outside ``==`` and
+    the hash; the memo is bounded and dropped with the model.
     """
 
     name: str
@@ -78,6 +80,14 @@ class ModelSpec:
     op_interp: Callable[[Context, str, tuple, tuple], Any]
     msubst: Callable[[Context, Context, Any, tuple], Any]
     show: Callable[[Any], str] = repr
+    # One slot: (signature, fold function, {(ctx, t): (value, exception)}).
+    _folds: list = field(
+        default_factory=lambda: [None], init=False, compare=False, repr=False, hash=False
+    )
+
+
+# Entries of a model's fold memo before it is cleared.
+_FOLDS_CAP = 1 << 14
 
 
 def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
@@ -324,10 +334,8 @@ def sample_suite(
         mid = rng.choice(contexts)
         dst = rng.choice(contexts)
         sort = rng.choice(sorts)
-        if chain_count(sig, src, sort, random_depth, max_sort_depth) == 0:
-            continue
-        t = random_term(sig, src, sort, random_depth, rng, max_sort_depth)
-        try:
+        try:  # an empty cell raises ValueError before any draw
+            t = random_term(sig, src, sort, random_depth, rng, max_sort_depth)
             sigma = Assignment(
                 src,
                 mid,
@@ -360,14 +368,23 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
     """Run one suite: ``laws(model, sig, sample, fold)`` yields (law, note,
     pair) per law instance, where ``pair()`` computes (lhs, rhs).
 
-    ``fold(ctx, t)`` folds each (ctx, t) once per call, memoising values
-    and raised exceptions.  Failures, including exceptions from ``pair``
-    (model code is arbitrary), are recorded, never thrown; an exception
-    from ``laws`` itself is one ``fold`` failure that ends the sample.
+    ``fold(ctx, t)`` folds each (ctx, t) once per model, memoising values
+    and raised exceptions: the fold out of the initial model is unique,
+    so its value depends only on the model, ``sig``, ``fold_fn`` and the
+    term, and every suite call on the model with the same ``sig`` and
+    ``fold_fn`` (by identity) shares the memo.  A call with another pair
+    starts a new one; the memo is cleared when it reaches ``_FOLDS_CAP``
+    entries, and is dropped with the model.  Failures, including
+    exceptions from ``pair`` (model code is arbitrary), are recorded,
+    never thrown; an exception from ``laws`` itself is one ``fold``
+    failure that ends the sample.
     """
     report = LawReport(f"{suite}:{model.name}")
     show = model.show
-    memo: dict = {}
+    held = model._folds[0]
+    if held is None or held[0] is not sig or held[1] is not fold_fn:
+        held = model._folds[0] = (sig, fold_fn, {})
+    memo = held[2]
 
     def fold_once(ctx, t):
         hit = memo.get((ctx, t))
@@ -376,6 +393,8 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
                 hit = (fold_fn(model, sig, ctx, t), None)
             except Exception as e:  # noqa: BLE001
                 hit = (None, e)
+            if len(memo) >= _FOLDS_CAP:
+                memo.clear()
             memo[ctx, t] = hit
         if hit[1] is not None:  # without the frames of its earlier raises
             raise hit[1].with_traceback(None)
@@ -391,12 +410,19 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
                         failure = LawFailure(law, _witness(sample) + note, show(lhs), show(rhs))
                         report.failures.append(failure)
                 except Exception as e:  # noqa: BLE001
-                    failure = LawFailure(law, _witness(sample) + note, f"<error: {e}>", "")
+                    failure = LawFailure(law, _witness(sample) + note, _error(e), "")
                     report.failures.append(failure)
         except Exception as e:  # noqa: BLE001
             report.cases += 1
-            report.failures.append(LawFailure("fold", _witness(sample), f"<error: {e}>", ""))
+            report.failures.append(LawFailure("fold", _witness(sample), _error(e), ""))
     return report
+
+
+def _error(e: Exception) -> str:
+    """An exception's text in a report.  Its frames are dropped: a memoised
+    one outlives the call, and would keep the call's frames alive."""
+    e.__traceback__ = None
+    return f"<error: {e}>"
 
 
 def _monoid_laws(model: ModelSpec, sig: Signature, sample: Sample, fold):

@@ -118,6 +118,9 @@ class ArrowSort:
     __copy__ = BaseSort.__copy__  # immutable: copies, deep ones too, are the value itself
     __deepcopy__ = BaseSort.__deepcopy__
 
+    def __repr__(self):  # the dataclass's text, along _tour: no recursion
+        return "".join(_SPELLED[x] if type(x) is _Punct else x for x in _tour(self, repr))
+
     def __eq__(self, other):
         if type(other) is not ArrowSort:
             return NotImplemented
@@ -154,6 +157,7 @@ class _Punct(str):
 
 
 _OPEN, _COMMA, _CLOSE = _Punct("arrow("), _Punct(","), _Punct(")")
+_SPELLED = {_OPEN: "ArrowSort(domain=", _COMMA: ", codomain=", _CLOSE: ")"}  # repr's punctuation
 
 
 def _tour(tpl: SortTemplate, leaf) -> list:

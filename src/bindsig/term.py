@@ -52,6 +52,7 @@ from .sigdef import (
     Sort,
     TokenStream,
     TypeSystem,
+    _Punct,
     _parse_sort_expr,
     check_sort,
     print_sort,
@@ -180,12 +181,32 @@ class Op(Term):
         return h
 
     def __repr__(self):
-        bits = [repr(self.name)]
-        if self.params:
-            bits.append(f"params={self.params!r}")
-        if self.args:
-            bits.append(f"args={self.args!r}")
-        return f"Op({', '.join(bits)})"
+        # Op(name, params=..., args=...), the arguments spelled out on an
+        # explicit stack, between _Punct pieces: terms may be deeper than
+        # the Python stack.  A parameter tuple's repr is flat: sorts have
+        # their own loop.
+        out, todo = [], [self]
+        while todo:
+            x = todo.pop()
+            if type(x) is _Punct:
+                out.append(x)
+            elif type(x) is not Op:
+                out.append(repr(x))
+            else:
+                head = f"Op({x.name!r}, params={x.params!r}" if x.params else f"Op({x.name!r}"
+                if not x.args:
+                    out.append(head + ")")
+                    continue
+                out.append(head)
+                pieces = [_ARGS]
+                for a in x.args:
+                    pieces += (a, _SEP)
+                pieces[-1] = _END if len(x.args) > 1 else _END_ONE
+                todo += reversed(pieces)
+        return "".join(out)
+
+
+_ARGS, _SEP, _END, _END_ONE = _Punct(", args=("), _Punct(", "), _Punct("))"), _Punct(",))")
 
 
 def _fill_hash(t: Op) -> int:
@@ -580,6 +601,15 @@ def _count_stage(variables, ops, counts) -> int:  # counting: the same fold into
     return n
 
 
+def _draw_stage(variables, ops, draws) -> tuple:
+    """Inhabitation: the same fold into the Booleans, kept as its witnesses.
+    A cell's draws are its variables and its productions whose input cells
+    all have draws; the cell is inhabited when it has any.  Every input is
+    read, so that each production takes its own."""
+    draws = iter(draws)
+    return (*variables, *(op for op in ops if all([*islice(draws, len(op[2]))])))
+
+
 def _stage(sig: Signature, ctx, sort: Sort, depth: int, max_sort_depth, kind: str, fill):
     """The chain stage A_depth at the (ctx, sort) cell, folded by ``fill(variables,
     ops, values)``: a cell's productions and its input cells' values, in order.
@@ -679,20 +709,19 @@ def random_term(sig, ctx, sort, depth, rng, max_sort_depth=None) -> Term:
     Picks uniformly among the productions that stay inhabited at the
     remaining depth, so the draw always succeeds when the cell itself is
     inhabited; raises ValueError otherwise.  Picks are made in pre-order
-    on an explicit stack, reading the counts ``chain_count`` left.
+    on an explicit stack, each one lookup in the cells' memoised draws.
     """
-    if chain_count(sig, ctx, sort, depth, max_sort_depth) == 0:
+    if not _stage(sig, ctx, sort, depth, max_sort_depth, "draws", _draw_stage):
         raise ValueError("empty cell: no term to draw")
-    counts = sig._cache[("counts", max_sort_depth)]
+    draws = sig._cache[("draws", max_sort_depth)]
     picks, todo = [], [(tuple(ctx), sort, depth)]
     while todo:
-        ctx, sort, depth = todo.pop()
-        variables, ops, _ = _productions(sig, ctx, sort, max_sort_depth)
-        inhabited = [op for op in ops if all(counts.get((c, s, depth - 1)) for c, s in op[2])]
-        pick = (*variables, *inhabited)[rng.below(len(variables) + len(inhabited))]
+        cell = todo.pop()
+        choices = draws[cell]
+        pick = choices[rng.below(len(choices))]
         picks.append(pick)
         if type(pick) is not Var:
-            todo += ((c, s, depth - 1) for c, s in reversed(pick[2]))
+            todo += ((c, s, cell[2] - 1) for c, s in reversed(pick[2]))
     built = []  # the terms of the later picks, a node's first argument on top
     for pick in reversed(picks):
         if type(pick) is not Var:
@@ -843,18 +872,20 @@ def parse_term(text: str) -> Term:
 _CLOSE = object()  # print_term's closing parenthesis: no argument is it
 
 
+def _params_text(params: tuple) -> str:
+    return "<" + ",".join(str(p) if isinstance(p, int) else print_sort(p) for p in params) + ">"
+
+
 def _head(name: str, params: tuple) -> str:
     """An operator's text up to its arguments: ``(op NAME`` and any ``<PARAMS>``."""
-    if not params:
-        return "(op " + name
-    texts = ",".join(str(p) if isinstance(p, int) else print_sort(p) for p in params)
-    return f"(op {name}<{texts}>"
+    return "(op " + name + _params_text(params) if params else "(op " + name
 
 
 def print_term(t: Term) -> str:
     out: list[str] = []  # each term's text starts with a space
     stack: list = [t]  # terms still to print, and closing parentheses
     close = _CLOSE
+    texts = {}  # id -> text of each distinct parameter tuple, which the term keeps alive
     while stack:
         t = stack.pop()
         if t is close:
@@ -862,8 +893,14 @@ def print_term(t: Term) -> str:
         elif type(t) is Var:
             out.append(f" (var {t.index})")
         elif type(t) is Op:
-            # _head, with its parameter-free case in place: most nodes have none
-            out.append(" " + _head(t.name, t.params) if t.params else " (op " + t.name)
+            params = t.params
+            if params:
+                text = texts.get(id(params))
+                if text is None:
+                    text = texts[id(params)] = _params_text(params)
+                out.append(" (op " + t.name + text)
+            else:
+                out.append(" (op " + t.name)
             stack.append(close)
             stack.extend(reversed(t.args))
         else:

@@ -12,10 +12,11 @@ an explicit stack, and one reader loop, so a 100 000-deep arrow sort is
 read, printed, compared, checked, instantiated and mapped, and a term whose
 operator parameters are 20 000-deep sorts is checked, folded and translated.
 The chain's cells are filled, and random terms drawn, on explicit stacks
-too, so a stage thousands of levels deep is counted, listed and drawn.
-A typed chain's text is read one node head per regex match.  Terms and
-sorts copy and deep-copy as themselves, and ``term_depth`` measures each
-distinct node of a shared term once.
+too, so a stage thousands of levels deep is counted, listed and drawn;
+a draw reads inhabitation, not counts.  A typed chain's text is read one
+node head per regex match.  Terms and sorts copy and deep-copy as
+themselves, their ``repr`` is spelled out on explicit stacks, and
+``term_depth`` measures each distinct node of a shared term once.
 """
 
 import copy
@@ -354,6 +355,36 @@ def test_deep_sort_parameters():
     assert fold(term_model(stlc), stlc, (), t) == t
     assert translate_term(identity_table(stlc), (), t) == t
     assert translate_term(builtin_table("stlc2ulc"), (), t) == Op("abs", (), (Var(0),))
+
+
+def test_deep_values_repr_without_recursion():
+    # repr spells out arguments and arrows on explicit stacks; at 5 000 deep
+    # both raised RecursionError.  The texts are the shallow ones, nested.
+    iota = repr(IOTA)
+    opens = ["ArrowSort(domain=" if i % 2 else f"ArrowSort(domain={iota}, codomain=" for i in range(N)]
+    closes = [f", codomain={iota})" if i % 2 else ")" for i in range(N)]
+    sort_text = "".join(reversed(opens)) + iota + "".join(closes)
+    assert timed(repr, arrows(N)) == sort_text
+    assert timed(repr, succs(Var(0))) == "Op('succ', args=(" * N + "Var(0)" + ",))" * N
+    t = spine(Op("c", (arrows(N),)))
+    expected = (
+        "Op('abs', args=(Op('app', args=(" * (N // 2)
+        + f"Op('c', params=({sort_text},))"
+        + ", Var(0))),))" * (N // 2)
+    )
+    assert timed(repr, t) == expected
+
+
+def test_deep_draws_read_inhabitation_not_counts():
+    # Draws read each cell's memoised draws, made from whether its input
+    # cells are inhabited.  Exact counts took 20 s here, the largest with
+    # 27.9 M bits.
+    sig = builtin("ulc")
+    started = time.perf_counter()
+    t = random_term(sig, TARGET, STAR, 25, XorShift64Star(1))
+    assert time.perf_counter() - started < 0.05
+    assert sort_of(sig, TARGET, t) == STAR and term_depth(t) <= 25
+    assert not [key for key in sig._cache if key[0] == "counts"]
 
 
 def timed(f, *args):

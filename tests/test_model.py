@@ -1,6 +1,8 @@
+import gc
 import json
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -30,7 +32,9 @@ from bindsig import (
     term_model,
 )
 from bindsig.errors import ArityMismatch, IllFormed, ScopeError, SortMismatch, TypedSignature
+from bindsig import model as model_module
 from bindsig.model import run_law_suites
+from bindsig.sigdef import parse_signature
 
 from oracles import direct_free_vars
 
@@ -428,6 +432,131 @@ def test_memoised_fold_errors_keep_short_tracebacks(ulc):
         while tb is not None:
             entries, tb = entries + 1, tb.tb_next
         assert entries < 20
+
+
+# ---------------------------------------------------------------------------
+# the suites' fold memo, kept on the model
+
+
+def counting(model):
+    """``model`` with a list its op_interp calls are counted in."""
+    calls = []
+
+    def op_interp(ctx, name, params, vals):
+        calls.append(name)
+        return model.op_interp(ctx, name, params, vals)
+
+    return ModelSpec(model.name, model.var_op, op_interp, model.msubst, model.show), calls
+
+
+def test_suites_fold_each_term_once_per_model(ulc, suite):
+    m, calls = counting(term_model(ulc))
+    first = check_monoid_laws(m, ulc, suite)
+    assert first.passed and calls
+    calls.clear()
+    assert check_monoid_laws(m, ulc, suite) == first and calls == []
+
+    # the module squares fold only the terms' arguments anew
+    memo = m._folds[0][2]
+    kept = dict(memo)
+    assert all((s.src, s.term) in kept for s in suite)
+    assert all((s.mid, x) in kept for s in suite for x in s.sigma.images)
+    assert all((s.dst, x) in kept for s in suite for x in s.tau.images)
+    assert check_module_laws(m, ulc, suite).passed
+    assert all(memo[key] is hit for key, hit in kept.items())
+
+    # a fold function is served once per model too
+    folded = []
+
+    def spy(model, sig, ctx, t):
+        folded.append((ctx, t))
+        return fold(model, sig, ctx, t)
+
+    assert check_morphism(m, ulc, suite, fold_fn=spy).passed
+    assert folded and len(folded) == len(set(folded))
+    folded.clear()
+    assert check_morphism(m, ulc, suite, fold_fn=spy).passed and folded == []
+
+
+def test_fold_memo_is_dropped_with_the_model(ulc, suite):
+    m = fv_model(ulc)
+    assert m._folds == [None] and fv_model(ulc)._folds is not m._folds
+    check_monoid_laws(m, ulc, suite)
+    assert m._folds[0][2]
+    gone = weakref.ref(m)
+    del m
+    gc.collect()
+    assert gone() is None
+
+
+def test_fold_memo_stays_within_its_cap(ulc, monkeypatch):
+    # Small suites and a small cap, so that the memo is cleared between and
+    # within calls: the reports are those of fresh models all the same.
+    monkeypatch.setattr(model_module, "_FOLDS_CAP", 256)
+    m, sizes = fv_model(ulc), []
+    for seed in range(20):
+        samples = sample_suite(ulc, depth=2, seed=seed, random_cases=30)
+        for check in (check_monoid_laws, check_module_laws, check_morphism):
+            assert check(m, ulc, samples) == check(fv_model(ulc), ulc, samples)
+            sizes.append(len(m._folds[0][2]))
+    assert max(sizes) <= 256 and any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def ctx_model():
+    """Values that show each node's context length, so that a fold under
+    ``ulc`` differs from one under ``binds_two()``; not a lawful model."""
+    return ModelSpec(
+        "ctx",
+        lambda ctx, i: (len(ctx), i),
+        lambda ctx, name, params, vals: (len(ctx), name, vals),
+        lambda src, dst, value, images: (len(dst), value),
+    )
+
+
+def binds_two():
+    return parse_signature("signature ulc2\nop app : (*, *) -> *\nop abs : ([*, *] *) -> *\n")
+
+
+def test_one_model_over_signatures_a_b_a_reports_as_fresh_ones(ulc):
+    b = binds_two()
+    samples = {id(sig): sample_suite(sig, depth=2, seed=1) for sig in (ulc, b)}
+    m = ctx_model()
+    for sig in (ulc, b, ulc):
+        for check in (check_monoid_laws, check_module_laws, check_morphism):
+            report = check(m, sig, samples[id(sig)])
+            assert report == check(ctx_model(), sig, samples[id(sig)]) and not report.passed
+
+
+def test_one_model_shared_between_threads_reports_as_fresh_ones(ulc):
+    # Threads running suites on one model over two signatures replace its
+    # memo under each other: each call keeps the memo it started with, so a
+    # report never mixes in folds under the other signature.
+    cases = [(sig, sample_suite(sig, depth=2, seed=1)) for sig in (ulc, binds_two())]
+    checks = (check_monoid_laws, check_module_laws, check_morphism)
+    expected = [[check(ctx_model(), sig, samples) for check in checks] for sig, samples in cases]
+    m, errors = ctx_model(), []
+
+    def work(k):
+        try:
+            for n in range(6):
+                j = (k + n) % 2
+                sig, samples = cases[j]
+                assert [check(m, sig, samples) for check in checks] == expected[j]
+        except BaseException as e:  # noqa: BLE001 - reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
 
 
 # ---------------------------------------------------------------------------

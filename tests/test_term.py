@@ -391,6 +391,23 @@ def test_listings_and_counts_are_pinned():
     assert digest.hexdigest() == LISTINGS_SHA256
 
 
+# The repr of the same cells: each cell's context and sort, then its terms,
+# one a line.  Sorts are in it three ways: context entries, cell sorts and
+# operator parameters, arrows among them.
+REPRS_SHA256 = "830bdbe1f1a3faa06db32d48286d528f319503c519ae47dad2793f9837f5a508"
+
+
+def test_reprs_are_pinned():
+    sigs, digest, arrows = {}, hashlib.sha256(), 0
+    for name, ctx, sort, k, msd in _pinned_cells():
+        sig = sigs.setdefault(name, builtin(name))
+        lines = [repr(t) for t in enumerate_terms(sig, ctx, sort, k, msd)]
+        arrows += sum("params=(ArrowSort(" in line for line in lines)
+        digest.update((f"{name} {ctx!r} {sort!r} {k}\n" + "".join(x + "\n" for x in lines)).encode())
+    assert arrows > 0
+    assert digest.hexdigest() == REPRS_SHA256
+
+
 def test_cached_stages_cannot_be_mutated():
     sig, stlc = builtin("ulc"), builtin("stlc")
     for cached in (enumerate_terms(sig, (), STAR, 3), instantiations(stlc, "app", 1)):
@@ -594,6 +611,30 @@ def test_print_parse_roundtrip_enumerated(ulc, pcf):
         assert parse_term(print_term(t)) == t
     for t in enumerate_terms(pcf, (), BaseSort("nat"), 3, max_sort_depth=1):
         assert parse_term(print_term(t)) == t
+
+
+def test_print_term_prints_each_parameter_tuple_once(monkeypatch):
+    # A 451-node stlc abs/app chain: 300 parameterised nodes share two
+    # tuples, and one more node has an equal tuple of its own.
+    arrow = ArrowSort(IOTA, IOTA)
+    p_abs, p_app, p_own = (IOTA, arrow), (arrow, IOTA), (IOTA, arrow)
+    t = Op("abs", p_own, (Var(0),))
+    for _ in range(150):
+        t = Op("abs", p_abs, (Op("app", p_app, (t, Var(0))),))
+    expected = (
+        "(op abs<iota,arrow(iota,iota)> (op app<arrow(iota,iota),iota> " * 150
+        + "(op abs<iota,arrow(iota,iota)> (var 0))"
+        + " (var 0)))" * 150
+    )
+    calls = []
+
+    def counting(sort):
+        calls.append(sort)
+        return print_sort(sort)
+
+    monkeypatch.setattr(term_module, "print_sort", counting)
+    assert print_term(t) == expected
+    assert len(calls) == len(p_abs) + len(p_app) + len(p_own)
 
 
 @settings(deadline=None, max_examples=60)
