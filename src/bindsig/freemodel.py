@@ -61,6 +61,9 @@ class OperatorFamily:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # no stored hash crosses a pickle
+        return OperatorFamily, (self.labels,)
+
     def label(self, name: str) -> OpLabel:
         for lab in self.labels:
             if lab.name == name:

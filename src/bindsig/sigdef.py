@@ -96,6 +96,9 @@ class BaseSort:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # no stored hash crosses a pickle
+        return BaseSort, (self.name,)
+
     def __copy__(self):  # immutable: a copy is the value itself
         return self
 
@@ -120,6 +123,9 @@ class ArrowSort:
 
     def __repr__(self):  # the dataclass's text, along _tour: no recursion
         return "".join(_SPELLED[x] if type(x) is _Punct else x for x in _tour(self, repr))
+
+    def __reduce__(self):  # flat, along _tour: no recursion, and no stored hash
+        return _from_tour, (_tour(self, lambda x: x),)
 
     def __eq__(self, other):
         if type(other) is not ArrowSort:
@@ -177,13 +183,20 @@ def _tour(tpl: SortTemplate, leaf) -> list:
 
 def _map_leaves(tpl: SortTemplate, leaf) -> SortTemplate:
     """``tpl`` with each leaf ``x`` replaced by ``leaf(x)``, called in
-    pre-order: each arrow is rebuilt as its tour's ``_CLOSE`` passes."""
+    pre-order."""
+    return _from_tour(_tour(tpl, leaf))
+
+
+def _from_tour(tour: list) -> SortTemplate:
+    """The sort or template a ``_tour`` list spells: each arrow is rebuilt
+    as its ``_CLOSE`` passes.  Punctuation is told by value, so a list
+    that went through ``pickle`` reads the same."""
     done = []
-    for x in _tour(tpl, leaf):
-        if x is _CLOSE:
-            done[-2:] = [ArrowSort(*done[-2:])]
-        elif type(x) is not _Punct:
+    for x in tour:
+        if type(x) is not _Punct:
             done.append(x)
+        elif x == _CLOSE:
+            done[-2:] = [ArrowSort(*done[-2:])]
     return done[0]
 
 
@@ -324,7 +337,7 @@ class Signature:
     """A type system plus constructor schemas with pairwise-distinct names.
 
     Immutable after construction; the private cache only memoizes pure
-    lookups and is excluded from equality and hashing.
+    lookups and is excluded from equality, hashing and pickling.
     """
 
     types: TypeSystem
@@ -348,6 +361,9 @@ class Signature:
             hit = instantiate(self.schema(name), params, self.types)
             self._cache[key] = hit
         return hit
+
+    def __reduce__(self):
+        return Signature, (self.types, self.schemas)
 
     @property
     def parameterized(self) -> bool:

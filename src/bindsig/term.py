@@ -23,13 +23,15 @@ computes its bound on first use and keeps it.  Instances are immutable
 by contract, so ``copy.copy`` and ``copy.deepcopy`` give them back as
 they are; nothing in the library mutates them beyond filling in that
 hash and bound, and beyond the check certificate :func:`mk_op` writes
-once on the node it has just built.
+once on the node it has just built.  ``pickle`` writes none of the three.
+The walks that need no signature (hash, bound, ``term_depth``, pickling,
+and the translator's template resolution) are loops over one kernel,
+``_post_order``: each distinct operator once, after its arguments.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -118,15 +120,13 @@ class Var(Term):
     def __repr__(self):
         return f"Var({self.index})"
 
-
-# An operator's bound before its first use: larger than any number of
-# binders, so a walk that reads it unset enters the node.
-_UNSET = sys.maxsize
+    def __reduce__(self):
+        return Var, (self.index,)
 
 
 class Op(Term):
-    # _hash is None until first use; _cert is (signature, context, sort) on
-    # a node mk_op built, else None.
+    # _hash and _bound are None until first use; _cert is (signature,
+    # context, sort) on a node mk_op built, else None.
     __slots__ = ("name", "params", "args", "_hash", "_bound", "_cert")
     __match_args__ = ("name", "params", "args")
 
@@ -136,9 +136,7 @@ class Op(Term):
         self.name = name
         self.params = params
         self.args = args
-        self._hash = None
-        self._bound = _UNSET
-        self._cert = None
+        self._hash = self._bound = self._cert = None
 
     def __eq__(self, other):
         if self is other:
@@ -180,6 +178,13 @@ class Op(Term):
             h = _fill_hash(self)
         return h
 
+    def __reduce__(self):  # flat and by structure: sharing kept, no hash or cache
+        nodes, at = [], {}  # id -> position in nodes
+        for x in _post_order(self, lambda a: id(a) in at):
+            at[id(x)] = len(nodes)
+            nodes.append((x.name, x.params, tuple(at.get(id(a), a) for a in x.args)))
+        return _rebuilt, (nodes,)
+
     def __repr__(self):
         # Op(name, params=..., args=...), the arguments spelled out on an
         # explicit stack, between _Punct pieces: terms may be deeper than
@@ -209,26 +214,42 @@ class Op(Term):
 _ARGS, _SEP, _END, _END_ONE = _Punct(", args=("), _Punct(", "), _Punct("))"), _Punct(",))")
 
 
-def _fill_hash(t: Op) -> int:
-    """Compute and keep ``hash((Op, name, params, args))`` on ``t`` and on
-    every operator below it without one.  Children go first, on an
-    explicit stack, so hashing a node's ``args`` reads kept hashes and
-    never recurses."""
+def _post_order(t: Op, known):
+    """The operators of ``t`` without a kept value, each after its operator
+    arguments, ``t`` last: the one signature-free walk, as a generator.
+    ``known(x)`` says whether ``x`` has its value, which the caller keeps
+    for each node it is given before asking for the next: a node shared
+    below ``t`` is given once, and one already known is not entered.  It
+    keeps its own stack, so terms may be deeper than the Python stack."""
     stack = [t]
     while stack:
-        x = stack[-1]
-        if x._hash is not None:  # a shared node, pushed twice
-            stack.pop()
-            continue
-        pending = False
-        for a in x.args:
-            if type(a) is Op and a._hash is None:
-                stack.append(a)
-                pending = True
-        if not pending:
-            x._hash = hash((Op, x.name, x.params, x.args))
-            stack.pop()
+        x = stack.pop()
+        if x is None:  # the arguments of the node below are all known
+            yield stack.pop()
+        elif not known(x):
+            stack.append(x)
+            stack.append(None)
+            for a in x.args:
+                if type(a) is Op:
+                    stack.append(a)
+
+
+def _fill_hash(t: Op) -> int:
+    """Compute and keep ``hash((Op, name, params, args))`` on ``t`` and on
+    every operator below it without one, children first, so hashing a
+    node's ``args`` reads kept hashes and never recurses."""
+    for x in _post_order(t, lambda a: a._hash is not None):
+        x._hash = hash((Op, x.name, x.params, x.args))
     return t._hash
+
+
+def _rebuilt(nodes: list) -> Op:
+    """The term ``Op.__reduce__`` wrote: one (name, params, args) per node,
+    post-order, an argument an int position in ``nodes`` or a leaf."""
+    built = []
+    for name, params, args in nodes:
+        built.append(Op(name, params, tuple(built[a] if type(a) is int else a for a in args)))
+    return built[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -374,34 +395,22 @@ def _loose_bound(t: Term) -> int:
 
     It bounds the loose indices of ``t`` without a signature, and is exact
     on binder-free terms.  An operator without a bound gets one here, as
-    does every node below it still without one, on an explicit stack.
+    does every node below it still without one, children first.
     """
     try:
         bound = t._bound  # template placeholders carry 0
     except AttributeError:
         raise IllFormed(f"not a term: {t!r}") from None
-    if bound != _UNSET:
-        return bound
-    stack = [t]
-    while stack:
-        x = stack[-1]
-        if x._bound != _UNSET:
-            stack.pop()
-            continue
-        bound, pending = 0, False
-        for a in x.args:
-            b = getattr(a, "_bound", None)
-            if b is None:
-                raise IllFormed(f"not a term: {a!r}")
-            if b == _UNSET:
-                stack.append(a)
-                pending = True
-            elif b > bound:
-                bound = b
-        if not pending:
+    if bound is None:
+        for x in _post_order(t, lambda a: a._bound is not None):
+            bound = 0
+            for a in x.args:
+                b = getattr(a, "_bound", None)
+                if b is None:
+                    raise IllFormed(f"not a term: {a!r}")
+                bound = b if b > bound else bound
             x._bound = bound
-            stack.pop()
-    return t._bound
+    return bound
 
 
 def _walk(sig: Signature, t: Term, env, var, node, under, known=None):
@@ -484,37 +493,22 @@ def sort_of(sig: Signature, ctx: Sequence[Sort], t: Term) -> Sort:
 def term_depth(t: Term) -> int:
     """Constructor depth: variables and constants count 1.
 
-    Each distinct operator is measured once, after its arguments, on an
-    explicit stack, so a shared subterm costs one step however often it
-    occurs."""
+    Each distinct operator is measured once, after its arguments, so a
+    shared subterm costs one step however often it occurs."""
     if type(t) is not Op:
         if type(t) is Var:
             return 1
         raise IllFormed(f"not a term: {t!r}")
     depths = {}  # id -> depth of each operator measured in this call
-    stack = [t]
-    while stack:
-        x = stack[-1]
-        if id(x) in depths:  # a shared node, pushed twice
-            stack.pop()
-            continue
-        deepest, pending = 0, False
+    for x in _post_order(t, lambda a: id(a) in depths):
+        deepest = 0
         for a in x.args:
             kind = type(a)
-            if kind is Op:
-                d = depths.get(id(a))
-                if d is None:
-                    stack.append(a)
-                    pending = True
-                elif d > deepest:
-                    deepest = d
-            elif kind is Var:
-                deepest = deepest or 1
-            else:
+            if kind is not Op and kind is not Var:
                 raise IllFormed(f"not a term: {a!r}")
-        if not pending:
-            depths[id(x)] = deepest + 1
-            stack.pop()
+            d = depths[id(a)] if kind is Op else 1
+            deepest = d if d > deepest else deepest
+        depths[id(x)] = deepest + 1
     return depths[id(t)]
 
 

@@ -46,7 +46,18 @@ from .sigdef import (
     print_sort,
     sorts_up_to_depth,
 )
-from .term import Context, Op, Term, Var, _check_args, _lookup, _read_term, _Scope, _walk
+from .term import (
+    Context,
+    Op,
+    Term,
+    Var,
+    _check_args,
+    _lookup,
+    _post_order,
+    _read_term,
+    _Scope,
+    _walk,
+)
 
 __all__ = [
     "TypeMorphism",
@@ -126,6 +137,9 @@ class Placeholder:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # no stored hash crosses a pickle
+        return Placeholder, (self.index,)
+
     def __repr__(self):
         return f"Placeholder({self.index})"
 
@@ -152,6 +166,9 @@ class TranslationTable:
     clauses: Mapping[str, Template]
     # (schema name, source params) -> builder of the checked clause
     _checked: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __reduce__(self):  # the builders are closures: checked again on first use
+        return TranslationTable, (self.source, self.target, self.morphism, self.clauses)
 
 
 def _clause_at(table: TranslationTable, name: str, source_params: tuple):
@@ -239,28 +256,19 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
 
 
 def _resolve(template: Template, values: tuple) -> Template:
-    """``template`` with each ParamRef replaced by its value; operator
-    nodes are rebuilt post-order on an explicit stack, leaves kept."""
+    """``template`` with each ParamRef replaced by its value; each distinct
+    operator is rebuilt once, after its arguments, so sharing is kept, and
+    leaves are kept as they are."""
     if type(template) is not Op:
         return template
-    frames = [(template, iter(template.args), [])]  # (node, arguments to do, arguments done)
-    while True:
-        t, todo, done = frames[-1]
-        for a in todo:
-            if type(a) is Op:
-                frames.append((a, iter(a.args), []))
-                break
-            done.append(a)
-        else:
-            frames.pop()
-            for p in t.params:
-                if isinstance(p, ParamRef) and not 0 <= p.index < len(values):
-                    raise ParamArityMismatch(f"{p} out of range for {len(values)} parameter(s)")
-            params = tuple(values[p.index] if isinstance(p, ParamRef) else p for p in t.params)
-            value = Op(t.name, params, tuple(done))
-            if not frames:
-                return value
-            frames[-1][2].append(value)
+    made = {}  # id -> the rebuilt operator
+    for t in _post_order(template, lambda a: id(a) in made):
+        for p in t.params:
+            if isinstance(p, ParamRef) and not 0 <= p.index < len(values):
+                raise ParamArityMismatch(f"{p} out of range for {len(values)} parameter(s)")
+        params = tuple(values[p.index] if isinstance(p, ParamRef) else p for p in t.params)
+        made[id(t)] = Op(t.name, params, tuple(made.get(id(a), a) for a in t.args))
+    return made[id(template)]
 
 
 def make_table(

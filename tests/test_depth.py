@@ -16,15 +16,23 @@ too, so a stage thousands of levels deep is counted, listed and drawn;
 a draw reads inhabitation, not counts.  A typed chain's text is read one
 node head per regex match.  Terms and sorts copy and deep-copy as
 themselves, their ``repr`` is spelled out on explicit stacks, and
-``term_depth`` measures each distinct node of a shared term once.
+``term_depth`` measures each distinct node of a shared term once.  Terms
+and sorts pickle flat, a shared term in its distinct nodes, and no stored
+hash or cache crosses a pickle, so values load under any hash seed.
 """
 
 import copy
+import os
+import pickle
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import bindsig
 from bindsig import (
     ArrowSort,
     Assignment,
@@ -456,14 +464,96 @@ def test_deep_values_copy_as_themselves():
     assert held["term"] is t and held["sort"] is sort
 
 
-def test_term_depth_counts_each_shared_node_once():
-    # t_k = app(t_(k-1), t_(k-1)) has k + 1 distinct nodes and 2^k leaves;
-    # walked as a tree, k = 20 took 2.4 s.
+def dag():
+    """t_k = app(t_(k-1), t_(k-1)) over Var(0) at k = 40: k + 1 distinct
+    nodes, 2^k leaves."""
     t = Var(0)
     for _ in range(40):
         t = Op("app", (), (t, t))
+    return t
+
+
+def test_term_depth_counts_each_shared_node_once():
+    # Walked as a tree, k = 20 took 2.4 s.
+    t = dag()
     started = time.perf_counter()
     assert term_depth(t) == 41
     assert time.perf_counter() - started < 1
     assert term_depth(Var(7)) == 1 and term_depth(Op("c")) == 1
     assert term_depth(Op("f", (), (Op("c"), Op("g", (), (Var(0),))))) == 3
+
+
+def test_shared_dag_is_hashed_and_bounded_in_its_distinct_nodes():
+    # hash, and the loose bound subst reads first, visit a node once however
+    # often it is shared, as term_depth does.
+    t = dag()
+    closed = Op("abs", (), (t,))
+    started = time.perf_counter()
+    assert hash(t) == hash(dag())
+    assert subst(builtin("ulc"), closed, Assignment(CTX, TARGET, (Var(1),))) is closed
+    assert time.perf_counter() - started < 1
+
+
+def round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+def test_deep_values_pickle_flat():
+    # At 5 000 deep, pickling a term or a sort raised RecursionError.
+    for value in (succs(Var(0)), spine(Op("c", (arrows(1000),))), arrows(N)):
+        hash(value)
+        back = timed(round_trip, value)
+        assert back is not value and back == value and hash(back) == hash(value)
+
+
+def test_shared_dag_pickles_in_its_distinct_nodes():
+    data = pickle.dumps(dag())
+    assert len(data) < 40 * 40  # a few bytes per distinct node, not per leaf
+    t, depth = pickle.loads(data), 41
+    assert hash(t) == hash(dag())
+    while type(t) is Op:
+        assert t.args[0] is t.args[1]
+        t, depth = t.args[0], depth - 1
+    assert t == Var(0) and depth == 1
+
+
+def test_used_table_pickles_and_translates_as_before():
+    # A used table kept its checked clauses as closures, which do not pickle.
+    table = builtin_table("fol2ll")
+    terms = enumerate_terms(table.source, CTX, STAR, 2)
+    translated = [translate_term(table, CTX, t) for t in terms]
+    back = round_trip(table)
+    assert back == table and not back._checked
+    assert [translate_term(back, CTX, t) for t in terms] == translated
+
+
+PCF_TERM = "(op if_bool (op abs<bool,arrow(bool,bool)> (op abs<bool,bool> (var 0))))"
+
+
+def test_values_pickled_under_one_hash_seed_load_under_another():
+    # Stored hashes and caches went stale across seeds: pcf's sort_of
+    # reported arrow(bool,arrow(bool,bool)) against itself, and a hashed
+    # term compared unequal to the same term read afresh.
+    env = dict(os.environ, PYTHONPATH=str(Path(bindsig.__file__).parents[1]))
+    dump = (
+        "import pickle, sys\n"
+        "from bindsig import builtin, parse_term, sort_of\n"
+        f"sig, t = builtin('pcf'), parse_term({PCF_TERM!r})\n"
+        "sort_of(sig, (), t), hash(t)\n"
+        "sys.stdout.buffer.write(pickle.dumps((sig, t)))\n"
+    )
+    load = (
+        "import pickle, sys\n"
+        "from bindsig import parse_term, print_sort, sort_of\n"
+        "sig, t = pickle.load(sys.stdin.buffer)\n"
+        f"u = parse_term({PCF_TERM!r})\n"
+        "print(print_sort(sort_of(sig, (), u)), hash(t) == hash(u), t == u)\n"
+    )
+    run = [sys.executable, "-c"]
+    data = subprocess.run(
+        run + [dump], env={**env, "PYTHONHASHSEED": "1"}, capture_output=True, check=True
+    ).stdout
+    out = subprocess.run(
+        run + [load], env={**env, "PYTHONHASHSEED": "2"}, input=data, capture_output=True, check=True
+    ).stdout
+    assert out.split() == [b"bool", b"True", b"True"]
