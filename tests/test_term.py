@@ -1,6 +1,7 @@
 import hashlib
 import sys
 import threading
+from functools import partial
 from itertools import product
 
 import pytest
@@ -35,6 +36,7 @@ from bindsig import (
 )
 from bindsig.errors import (
     ArityMismatch,
+    BindsigError,
     IllFormed,
     ParseError,
     ScopeError,
@@ -142,6 +144,74 @@ def test_closed_certified_node_is_accepted_over_a_larger_context(fol, monkeypatc
     monkeypatch.setattr(term_module, "_infer", no_second_check)
     t, sort = mk_op(fol, (STAR,), "forall", (), (closed,))  # its body is over (*, *)
     assert t == Op("forall", (), (Op("neg", (), (Op("top"),)),)) and sort == STAR
+
+
+def _rebuilt_with_mk_op(sig, ctx, t):
+    """``t`` rebuilt bottom-up, each operator node through ``mk_op``."""
+    if type(t) is Var:
+        return t
+    arity = sig.arity(t.name, t.params)
+    args = tuple(
+        _rebuilt_with_mk_op(sig, ctx_extend(ctx, inp.bound), a) for inp, a in zip(arity.inputs, t.args)
+    )
+    return mk_op(sig, ctx, t.name, t.params, args)[0]
+
+
+def _mk_op_outcome(sig, ctx, name, params, args):
+    try:
+        return print_sort(mk_op(sig, ctx, name, params, args)[1])
+    except BindsigError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# (signature, depth, max_sort_depth): contexts of 0-2 entries of the first
+# base sort and, with a sort-depth bound, one entry of each sort within it
+MK_OP_PIN_CELLS = [("ulc", 3, None), ("fol", 2, None), ("stlc", 3, 1), ("pcf", 3, 1)]
+MK_OP_PIN = (32527, "6a806f335b9cc42d88e2f01f819dd255e3065d17e62cdae31c77a459caffdf8a")
+
+
+def test_mk_op_outcomes_are_pinned():
+    """Every term of small cells rebuilt with ``mk_op``, then single-fault
+    nodes over it: the sort or (exception class, message) of each, in a
+    fixed order, hashes to a pinned digest."""
+    lines = []
+    for name, depth, msd in MK_OP_PIN_CELLS:
+        sig = builtin(name)
+        twin = builtin(name)  # equal, but another Signature object
+        base = BaseSort(sig.types.base_sorts[0])
+        sorts = sorts_up_to_depth(sig.types, msd or 0)
+        ctxs = [(), (base,), (base, base)] + [(s,) for s in sorts if msd and s != base]
+        for ctx, sort in product(ctxs, sorts):
+            for t in enumerate_terms(sig, ctx, sort, depth, msd):
+                lines.append(f"{name} {print_context(ctx)} {print_term(t)}")
+                if type(t) is Var:
+                    continue
+                built = _rebuilt_with_mk_op(sig, ctx, t)
+                assert built == t and built._cert[2] == sort
+                args = built.args
+                outcome = partial(_mk_op_outcome, sig, ctx, t.name, t.params)
+                lines.append(outcome(args + (Var(0),)))
+                lines.append(outcome(args[:-1]) if args else "-")
+                try:
+                    other_ctx = _rebuilt_with_mk_op(sig, (base,) + ctx, t)
+                except BindsigError:
+                    other_ctx = t
+                for j, inp in enumerate(sig.arity(t.name, t.params).inputs):
+                    scope = ctx_extend(ctx, inp.bound)
+                    wrong = [Var(i) for i, s in enumerate(scope) if s != inp.sort][:1]
+                    for fault in [
+                        Var(len(scope)),  # out of scope
+                        *wrong,  # a variable at the wrong sort
+                        "x",  # not a term
+                        Op(t.name, t.params, ("x",) * len(args)),  # not a term, one level down
+                        built,  # certified over ctx: over a larger context when inp binds
+                        t,  # not certified
+                        _rebuilt_with_mk_op(twin, ctx, t),  # certified under another signature
+                        other_ctx,  # certified over another context
+                    ]:
+                        lines.append(outcome(args[:j] + (fault,) + args[j + 1 :]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == MK_OP_PIN
 
 
 # ---------------------------------------------------------------------------
