@@ -320,7 +320,7 @@ def instantiate(schema: ConstructorSchema, args: Sequence, types: TypeSystem | N
             raise ParamKindMismatch(f"parameter {p.name} of {schema.name} expects a sort")
         if p.kind == "sort" and types is not None:  # also those the arity does not mention
             check_sort(types, a)
-        if p.kind == "nat" and not (isinstance(a, int) and a >= 0):
+        if p.kind == "nat" and not (type(a) is int and a >= 0):  # a bool prints as True: no numeral
             raise ParamKindMismatch(f"parameter {p.name} of {schema.name} expects a natural")
     inputs = tuple(
         Input(tuple(_subst_template(b, args) for b in inp.bound), _subst_template(inp.sort, args))
@@ -717,11 +717,11 @@ def parse_signature_source(text: str) -> tuple[Signature, tuple[ConstructorSchem
         else:
             raise ts.error(f"expected 'sorts', 'op' or 'operators', found {word!r}", offset)
     sig = make_signature(types if types is not None else UNTYPED, schemas)
-    seen = {s.name for s in schemas}
+    seen = {s.name: "clashes with a schema" for s in schemas}
     for decl in operators:
         if decl.name in seen:
-            raise DuplicateName(f"operator label {decl.name!r} clashes with a schema")
-        seen.add(decl.name)
+            raise DuplicateName(f"operator label {decl.name!r} {seen[decl.name]}")
+        seen[decl.name] = "declared twice"
         _check_arity(sig.types, decl)  # binds nothing: the parser refused that
     return sig, tuple(operators)
 

@@ -23,7 +23,9 @@ computes its bound on first use and keeps it.  Instances are immutable
 by contract, so ``copy.copy`` and ``copy.deepcopy`` give them back as
 they are; nothing in the library mutates them beyond filling in that
 hash and bound, and beyond the check certificate :func:`mk_op` writes
-once on the node it has just built.  ``pickle`` writes none of the three.
+once on the node it has just built, after running the term checker on
+that one node, which stops at certified arguments.  ``pickle`` writes
+none of the three.
 The walks that need no signature (hash, bound, ``term_depth``, pickling,
 and the translator's template resolution) are loops over one kernel,
 ``_post_order``: each distinct operator once, after its arguments.
@@ -356,27 +358,18 @@ def mk_op(
 ) -> tuple[Term, Sort]:
     """Checked construction of an operator node; returns it with its sort.
 
-    The check is local to the node: a variable argument's sort is its
-    entry in the argument's context, and an operator argument that
-    ``mk_op`` built under ``sig`` has the sort it was checked at, over an
-    equal context, or over any context when it is closed.  Any other
-    argument is checked down to such subterms.  The new node records
-    (``sig``, ``ctx``, sort) as its certificate: well-formedness depends
-    only on these and the term, all immutable, so it never goes stale.
+    The check is the term checker's walk of the new node, which stops at
+    certified arguments: a variable argument's sort is its entry in the
+    argument's context, and an operator argument that ``mk_op`` built
+    under ``sig`` has the sort it was checked at, over an equal context,
+    or over any context when it is closed.  Any other argument is checked
+    down to such subterms.  The new node records (``sig``, ``ctx``, sort)
+    as its certificate: well-formedness depends only on these and the
+    term, all immutable, so it never goes stale.
     """
     ctx = ctx if type(ctx) is _Scope else tuple(ctx)
     t = Op(name, tuple(params), tuple(args))
-    arity = sig._cache.get(("arity", name, t.params)) or sig.arity(name, t.params)
-    if len(t.args) != len(arity.inputs):
-        raise ArityMismatch(f"{name} expects {len(arity.inputs)} argument(s), got {len(t.args)}")
-    found = []
-    for inp, v in zip(arity.inputs, t.args):
-        c = _Scope(ctx, inp.bound) if inp.bound else ctx
-        if type(v) is Var:
-            found.append(_lookup(c, v.index))
-        else:
-            found.append(_certified(sig, c, v) or _infer(sig, c, v, partial(_certified, sig)))
-    sort = _check_args(None, t, arity, found)
+    sort = _walk(sig, t, ctx, _lookup, _check_args, _Scope, partial(_certified, sig))
     t._cert = (sig, ctx, sort)
     return t, sort
 

@@ -211,7 +211,15 @@ def test_operators_section_rejects_clash():
     from bindsig import parse_signature_with_operators
 
     text = "signature s\nop app : (*, *) -> *\noperators\nop app : () -> *\n"
-    with pytest.raises(DuplicateName):
+    with pytest.raises(DuplicateName, match="^operator label 'app' clashes with a schema$"):
+        parse_signature_with_operators(text)
+
+
+def test_operators_section_rejects_a_repeated_label():
+    from bindsig import parse_signature_with_operators
+
+    text = "signature s\nop app : (*, *) -> *\noperators\nop pair : (*, *) -> *\nop pair : () -> *\n"
+    with pytest.raises(DuplicateName, match="^operator label 'pair' declared twice$"):
         parse_signature_with_operators(text)
 
 

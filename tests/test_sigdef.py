@@ -8,6 +8,7 @@ from bindsig import (
     BaseSort,
     ConstructorSchema,
     Input,
+    Op,
     Param,
     SortRef,
     TypeSystem,
@@ -222,6 +223,14 @@ def test_instantiate_param_kind_checked(pcf):
         instantiate(pcf.schema("k"), (BaseSort("nat"),))
     with pytest.raises(ParamKindMismatch):
         instantiate(pcf.schema("fix"), (2,))
+
+
+def test_nat_parameter_is_an_int_never_a_bool(pcf):
+    # (op k<True>) would equal (op k<1>) but print as a text that does not parse
+    with pytest.raises(ParamKindMismatch, match="^parameter n of k expects a natural$"):
+        instantiate(pcf.schema("k"), (True,))
+    with pytest.raises(IllFormed, match="^parameter n of k expects a natural$"):
+        sort_of(builtin("pcf"), (), Op("k", (True,), ()))
 
 
 def test_instantiate_checks_parameters_the_arity_does_not_mention():
