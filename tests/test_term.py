@@ -22,6 +22,7 @@ from bindsig import (
     chain_count,
     ctx_extend,
     enumerate_terms,
+    fold,
     lambek_compose,
     lambek_decompose,
     mk_op,
@@ -33,6 +34,7 @@ from bindsig import (
     print_term,
     random_term,
     sort_of,
+    term_model,
 )
 from bindsig.errors import (
     ArityMismatch,
@@ -164,17 +166,25 @@ def _mk_op_outcome(sig, ctx, name, params, args):
         return f"{type(e).__name__}: {e}"
 
 
+def _fold_outcome(model, sig, ctx, t):
+    try:
+        value = fold(model, sig, ctx, t)
+        return f"{print_term(value)} : {print_sort(sort_of(sig, ctx, value))}"
+    except BindsigError as e:
+        return f"{type(e).__name__}: {e}"
+
+
 # (signature, depth, max_sort_depth): contexts of 0-2 entries of the first
 # base sort and, with a sort-depth bound, one entry of each sort within it
 MK_OP_PIN_CELLS = [("ulc", 3, None), ("fol", 2, None), ("stlc", 3, 1), ("pcf", 3, 1)]
 MK_OP_PIN = (32527, "6a806f335b9cc42d88e2f01f819dd255e3065d17e62cdae31c77a459caffdf8a")
+FOLD_PIN = (32527, "1e814d0ac1d42232e95fc90d7095b15a9f52e89631fc3c1e7e6578c89c3aaf77")
 
 
-def test_mk_op_outcomes_are_pinned():
-    """Every term of small cells rebuilt with ``mk_op``, then single-fault
-    nodes over it: the sort or (exception class, message) of each, in a
-    fixed order, hashes to a pinned digest."""
-    lines = []
+def _pin_cells():
+    """Each case of MK_OP_PIN_CELLS in a fixed order: (name, signature, an
+    equal but distinct signature, context, its first entry's base sort,
+    sort, term)."""
     for name, depth, msd in MK_OP_PIN_CELLS:
         sig = builtin(name)
         twin = builtin(name)  # equal, but another Signature object
@@ -183,35 +193,71 @@ def test_mk_op_outcomes_are_pinned():
         ctxs = [(), (base,), (base, base)] + [(s,) for s in sorts if msd and s != base]
         for ctx, sort in product(ctxs, sorts):
             for t in enumerate_terms(sig, ctx, sort, depth, msd):
-                lines.append(f"{name} {print_context(ctx)} {print_term(t)}")
-                if type(t) is Var:
-                    continue
-                built = _rebuilt_with_mk_op(sig, ctx, t)
-                assert built == t and built._cert[2] == sort
-                args = built.args
-                outcome = partial(_mk_op_outcome, sig, ctx, t.name, t.params)
-                lines.append(outcome(args + (Var(0),)))
-                lines.append(outcome(args[:-1]) if args else "-")
-                try:
-                    other_ctx = _rebuilt_with_mk_op(sig, (base,) + ctx, t)
-                except BindsigError:
-                    other_ctx = t
-                for j, inp in enumerate(sig.arity(t.name, t.params).inputs):
-                    scope = ctx_extend(ctx, inp.bound)
-                    wrong = [Var(i) for i, s in enumerate(scope) if s != inp.sort][:1]
-                    for fault in [
-                        Var(len(scope)),  # out of scope
-                        *wrong,  # a variable at the wrong sort
-                        "x",  # not a term
-                        Op(t.name, t.params, ("x",) * len(args)),  # not a term, one level down
-                        built,  # certified over ctx: over a larger context when inp binds
-                        t,  # not certified
-                        _rebuilt_with_mk_op(twin, ctx, t),  # certified under another signature
-                        other_ctx,  # certified over another context
-                    ]:
-                        lines.append(outcome(args[:j] + (fault,) + args[j + 1 :]))
+                yield name, sig, twin, base, ctx, sort, t
+
+
+def _single_faults(sig, twin, base, ctx, t, built):
+    """The argument tuples of the single-fault nodes over the operator
+    ``t``, made afresh on each call, in a fixed order: one argument too
+    many, one too few (None when ``t`` has no argument), then each fault
+    in the place of each argument."""
+    args = built.args
+    yield args + (Var(0),)
+    yield args[:-1] if args else None
+    try:
+        other_ctx = _rebuilt_with_mk_op(sig, (base,) + ctx, t)
+    except BindsigError:
+        other_ctx = t
+    for j, inp in enumerate(sig.arity(t.name, t.params).inputs):
+        scope = ctx_extend(ctx, inp.bound)
+        wrong = [Var(i) for i, s in enumerate(scope) if s != inp.sort][:1]
+        for fault in [
+            Var(len(scope)),  # out of scope
+            *wrong,  # a variable at the wrong sort
+            "x",  # not a term
+            Op(t.name, t.params, ("x",) * len(args)),  # not a term, one level down
+            built,  # certified over ctx: over a larger context when inp binds
+            t,  # not certified
+            _rebuilt_with_mk_op(twin, ctx, t),  # certified under another signature
+            other_ctx,  # certified over another context
+        ]:
+            yield args[:j] + (fault,) + args[j + 1 :]
+
+
+def test_mk_op_outcomes_are_pinned():
+    """Every term of small cells rebuilt with ``mk_op``, then single-fault
+    nodes over it: the sort or (exception class, message) of each, in a
+    fixed order, hashes to a pinned digest."""
+    lines = []
+    for name, sig, twin, base, ctx, sort, t in _pin_cells():
+        lines.append(f"{name} {print_context(ctx)} {print_term(t)}")
+        if type(t) is Var:
+            continue
+        built = _rebuilt_with_mk_op(sig, ctx, t)
+        assert built == t and built._cert[2] == sort
+        for args in _single_faults(sig, twin, base, ctx, t, built):
+            lines.append("-" if args is None else _mk_op_outcome(sig, ctx, t.name, t.params, args))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == MK_OP_PIN
+
+
+def test_term_model_fold_outcomes_are_pinned():
+    """The same terms and single-fault nodes folded into the term model: the
+    text and sort of each result, or its (exception class, message), in a
+    fixed order, hash to a pinned digest.  Each fault node is new, so no
+    certificate an earlier fold left on a root can matter."""
+    lines, models = [], {}
+    for name, sig, twin, base, ctx, sort, t in _pin_cells():
+        model = models.get(name) or models.setdefault(name, term_model(sig))
+        lines.append(f"{name} {print_context(ctx)} {_fold_outcome(model, sig, ctx, t)}")
+        if type(t) is Var:
+            continue
+        built = _rebuilt_with_mk_op(sig, ctx, t)
+        for args in _single_faults(sig, twin, base, ctx, t, built):
+            node = None if args is None else Op(t.name, t.params, args)
+            lines.append("-" if node is None else _fold_outcome(model, sig, ctx, node))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == FOLD_PIN
 
 
 # ---------------------------------------------------------------------------
