@@ -27,6 +27,8 @@ from .term import (
     Term,
     Var,
     _Scope,
+    _certified,
+    _infer,
     _walk,
     enumerate_terms,
     mk_op,
@@ -72,7 +74,8 @@ class ModelSpec:
     iterating) costs its length.
 
     The law suites memoise their folds on the model, outside ``==`` and
-    the hash; the memo is bounded and dropped with the model.
+    the hash; the memo is bounded and dropped with the model.  So is the
+    signature :func:`term_model` made the model for; no copy keeps it.
     """
 
     name: str
@@ -84,6 +87,7 @@ class ModelSpec:
     _folds: list = field(
         default_factory=lambda: [None], init=False, compare=False, repr=False, hash=False
     )
+    _term_of: Optional[Signature] = field(default=None, init=False, compare=False, repr=False)
 
 
 # Entries of a model's fold memo before it is cleared.
@@ -91,7 +95,18 @@ _FOLDS_CAP = 1 << 14
 
 
 def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
-    """The unique structure map: variables to var_op, nodes to op_interp."""
+    """The unique structure map: variables to var_op, nodes to op_interp.
+
+    Into the model :func:`term_model` made for this very ``sig`` object it
+    is the identity: ``t`` is checked, unless its root's certificate holds,
+    and returned with its root certified as ``mk_op`` certifies a node.
+    """
+    if model._term_of is sig:  # the term model is initial
+        ctx = tuple(ctx)
+        sort = _certified(sig, ctx, t) or _infer(sig, ctx, t)
+        if type(t) is Op:
+            t._cert = (sig, ctx, sort)
+        return t
     op_interp = model.op_interp
 
     def node(ctx, t, arity, vals):
@@ -106,10 +121,10 @@ def term_model(sig: Signature) -> ModelSpec:
 
     ``var_op`` is :func:`mk_var`, ``op_interp`` is :func:`mk_op` and
     ``msubst`` is :func:`subst`.  ``mk_op`` checks only the node it makes
-    against its arguments' certificates, so a fold into the term model is
-    linear, and an argument without one (a substitution result, a label
-    output of :func:`bindsig.freemodel.free_extend`) is checked down to
-    its certified subterms.
+    against its arguments' certificates, so an argument without one (a
+    substitution result, a label output of
+    :func:`bindsig.freemodel.free_extend`) is checked down to its
+    certified subterms.  A :func:`fold` into it returns the checked term.
     """
 
     def var_op(ctx, i):
@@ -123,7 +138,9 @@ def term_model(sig: Signature) -> ModelSpec:
     def msubst(src, dst, value, images):
         return subst(sig, value, Assignment(src, dst, tuple(images)))
 
-    return ModelSpec("term", var_op, op_interp, msubst, print_term)
+    model = ModelSpec("term", var_op, op_interp, msubst, print_term)
+    object.__setattr__(model, "_term_of", sig)
+    return model
 
 
 def fv_model(sig: Signature) -> ModelSpec:

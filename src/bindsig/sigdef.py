@@ -358,8 +358,10 @@ class Signature:
         key = ("arity", name, params)
         hit = self._cache.get(key)
         if hit is None:
-            hit = instantiate(self.schema(name), params, self.types)
-            self._cache[key] = hit
+            schema = self.schema(name)
+            if any(p.kind == "nat" for p in schema.params):  # True == 1.0 == 1: key with the types
+                key += (tuple(map(type, params)),)
+            hit = self._cache[key] = self._cache.get(key) or instantiate(schema, params, self.types)
         return hit
 
     def __reduce__(self):

@@ -22,9 +22,9 @@ substitution can return untouched subterms as they are; an operator
 computes its bound on first use and keeps it.  Instances are immutable
 by contract, so ``copy.copy`` and ``copy.deepcopy`` give them back as
 they are; nothing in the library mutates them beyond filling in that
-hash and bound, and beyond the check certificate :func:`mk_op` writes
-once on the node it has just built, after running the term checker on
-that one node, which stops at certified arguments.  ``pickle`` writes
+hash and bound, and beyond the check certificate :func:`mk_op` writes on
+the node it has just built, and a fold into the term model on the root
+it returns, each after running the term checker.  ``pickle`` writes
 none of the three.
 The walks that need no signature (hash, bound, ``term_depth``, pickling,
 and the translator's template resolution) are loops over one kernel,
@@ -128,7 +128,7 @@ class Var(Term):
 
 class Op(Term):
     # _hash and _bound are None until first use; _cert is (signature,
-    # context, sort) on a node mk_op built, else None.
+    # context, sort) on a node mk_op built or a term-model fold checked, else None.
     __slots__ = ("name", "params", "args", "_hash", "_bound", "_cert")
     __match_args__ = ("name", "params", "args")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import sys
@@ -33,6 +34,7 @@ from bindsig import (
 )
 from bindsig.errors import ArityMismatch, IllFormed, ScopeError, SortMismatch, TypedSignature
 from bindsig import model as model_module
+from bindsig import term as term_module
 from bindsig.model import run_law_suites
 from bindsig.sigdef import parse_signature
 
@@ -59,6 +61,52 @@ def test_fold_into_term_model_is_identity(ulc):
         ctx = (STAR,) * n
         for t in enumerate_terms(ulc, ctx, STAR, 3):
             assert fold(m, ulc, ctx, t) == t
+
+
+def test_term_model_fold_returns_its_input_certified(ulc, monkeypatch):
+    m = term_model(ulc)
+    ctx = (STAR,)
+    t = Op("abs", (), (Op("app", (), (Var(0), Var(1))),))
+    assert fold(m, ulc, ctx, t) is t
+    assert t._cert == (ulc, ctx, STAR) and t._cert[0] is ulc
+    v = Var(0)
+    assert fold(m, ulc, ctx, v) is v
+
+    checked = []
+
+    def spy(scope, node, arity, found):
+        checked.append(node)
+        return check_args(scope, node, arity, found)
+
+    check_args = term_module._check_args
+    monkeypatch.setattr(term_module, "_check_args", spy)
+    # a following mk_op takes it at its certificate: only the new node is checked
+    node, sort = mk_op(ulc, ctx, "app", (), (t, Var(0)))
+    assert checked == [node] and sort == STAR
+    # a fold of a root whose certificate holds does not walk it
+    checked.clear()
+    assert fold(m, ulc, ctx, t) is t and checked == []
+    # one that does not hold over the context is walked again
+    assert fold(m, ulc, (STAR, STAR), t) is t and len(checked) == 2
+    assert t._cert == (ulc, (STAR, STAR), STAR)
+
+
+@pytest.mark.parametrize("kind", ["parts", "replace", "twin"])
+def test_fold_into_other_models_builds_an_equal_copy(ulc, kind):
+    # only the model term_model made, under the very signature it was made
+    # for, returns its input; every other model goes through op_interp
+    tm = term_model(ulc)
+    if kind == "parts":
+        m = ModelSpec(tm.name, tm.var_op, tm.op_interp, tm.msubst, tm.show)
+        assert m == tm and hash(m) == hash(tm) and repr(m) == repr(tm)
+    elif kind == "replace":
+        m = dataclasses.replace(tm, show=repr)
+    else:
+        m = term_model(builtin("ulc"))
+    t = Op("abs", (), (Op("app", (), (Var(0), Var(1))),))
+    folded = fold(m, ulc, (STAR,), t)
+    assert folded == t and folded is not t and t._cert is None
+    assert folded.args[0] is not t.args[0]
 
 
 def test_fold_fv_example(ulc):
@@ -200,9 +248,11 @@ def test_term_model_checks_arguments_it_did_not_build_in_full(ulc):
 
 
 def test_term_model_shared_between_threads(ulc):
-    # a node's check certificate is written once, by mk_op, on the node it
-    # has just built, and never changes, so threads sharing one model and
-    # its nodes cannot see a stale or missing verdict
+    # a check certificate is written whole, by mk_op on the node it has
+    # just built or by a fold into the term model on the root it returns,
+    # and each one holds; a fold over another context may replace a root's
+    # certificate, so threads sharing one model and its nodes, folding them
+    # over several contexts, cannot see a stale or missing verdict
     m = term_model(ulc)
     cases = [((STAR,) * n, t) for n in range(3) for t in enumerate_terms(ulc, (STAR,) * n, STAR, 3)]
     escaped = Op("abs", (), (Var(1),))
@@ -212,7 +262,9 @@ def test_term_model_shared_between_threads(ulc):
         try:
             for _ in range(10):
                 for ctx, t in cases:
-                    assert fold(m, ulc, ctx, t) == t
+                    for k in range(len(ctx), 3):
+                        assert fold(m, ulc, (STAR,) * k, t) is t
+                    assert mk_op(ulc, ctx, "app", (), (t, t))[0] == Op("app", (), (t, t))
                     with pytest.raises(ScopeError):
                         m.op_interp((), "app", (), (fold(m, ulc, (STAR,), escaped), LAM0))
         except BaseException as e:  # noqa: BLE001 - reported below

@@ -16,6 +16,7 @@ from bindsig import (
     Var,
     builtin,
     enumerate_terms,
+    fold,
     instantiate,
     make_signature,
     mk_op,
@@ -28,6 +29,7 @@ from bindsig import (
     print_sort,
     sort_of,
     sum_signatures,
+    term_model,
 )
 from bindsig.errors import (
     BindsigError,
@@ -231,6 +233,35 @@ def test_nat_parameter_is_an_int_never_a_bool(pcf):
         instantiate(pcf.schema("k"), (True,))
     with pytest.raises(IllFormed, match="^parameter n of k expects a natural$"):
         sort_of(builtin("pcf"), (), Op("k", (True,), ()))
+
+
+@pytest.mark.parametrize("odd", [True, 1.0])
+@pytest.mark.parametrize(
+    "text, name, params",
+    [
+        (None, "k", ()),  # builtin pcf: k<n: nat>
+        ("signature s\nsorts iota with arrow\nop num<s: sort, n: nat> : () -> s\n", "num", (IOTA,)),
+    ],
+    ids=["pcf-k", "sort-and-nat"],
+)
+def test_nat_parameter_check_does_not_depend_on_earlier_checks(text, name, params, odd):
+    # True == 1 and 1.0 == 1, with equal hashes: a memo keyed on the
+    # parameter tuple alone answered for them once <1> had been checked
+    sig = builtin("pcf") if text is None else parse_signature(text)
+    model = term_model(sig)
+    good, bad = Op(name, params + (1,), ()), Op(name, params + (odd,), ())
+    message = f"^parameter n of {name} expects a natural$"
+    for _ in range(2):
+        with pytest.raises(ParamKindMismatch, match=message):
+            sig.arity(name, params + (odd,))
+        with pytest.raises(IllFormed, match=message):
+            sort_of(sig, (), bad)
+        with pytest.raises(ParamKindMismatch, match=message):
+            fold(model, sig, (), Op(name, params + (odd,), ()))
+        with pytest.raises(ParamKindMismatch, match=message):
+            mk_op(sig, (), name, params + (odd,))
+        assert sort_of(sig, (), good) == fold(model, sig, (), good)._cert[2]
+        assert sig.arity(name, params + (1,)).output == sort_of(sig, (), good)
 
 
 def test_instantiate_checks_parameters_the_arity_does_not_mention():
