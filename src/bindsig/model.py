@@ -74,8 +74,8 @@ class ModelSpec:
     iterating) costs its length.
 
     The law suites memoise their folds on the model, outside ``==`` and
-    the hash; the memo is bounded and dropped with the model.  So is the
-    signature :func:`term_model` made the model for; no copy keeps it.
+    the hash; the memo is bounded and dropped with the model.  The signature
+    :func:`term_model` made a model for is kept there too; no copy keeps it.
     """
 
     name: str
@@ -97,15 +97,14 @@ _FOLDS_CAP = 1 << 14
 def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
     """The unique structure map: variables to var_op, nodes to op_interp.
 
-    Into the model :func:`term_model` made for this very ``sig`` object it
-    is the identity: ``t`` is checked, unless its root's certificate holds,
-    and returned with its root certified as ``mk_op`` certifies a node.
+    Into :func:`term_model`'s model for this very ``sig`` object it is the
+    identity: ``t`` comes back checked, its root certified as by ``mk_op``.
     """
     if model._term_of is sig:  # the term model is initial
         ctx = tuple(ctx)
-        sort = _certified(sig, ctx, t) or _infer(sig, ctx, t)
+        sort = _certified(sig._stamp, ctx, t) or _infer(sig, ctx, t)
         if type(t) is Op:
-            t._cert = (sig, ctx, sort)
+            t._cert = (sig._stamp, ctx, sort)
         return t
     op_interp = model.op_interp
 

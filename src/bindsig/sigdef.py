@@ -343,6 +343,8 @@ class Signature:
     types: TypeSystem
     schemas: tuple[ConstructorSchema, ...]
     _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    # Check certificates name the signature by its stamp: a cached term never refers back to it.
+    _stamp: object = field(default_factory=object, init=False, compare=False, repr=False)
 
     def schema(self, name: str) -> ConstructorSchema:
         table = self._cache.get("by_name")

@@ -127,7 +127,7 @@ class Var(Term):
 
 
 class Op(Term):
-    # _hash and _bound are None until first use; _cert is (signature,
+    # _hash and _bound are None until first use; _cert is (signature stamp,
     # context, sort) on a node mk_op built or a term-model fold checked, else None.
     __slots__ = ("name", "params", "args", "_hash", "_bound", "_cert")
     __match_args__ = ("name", "params", "args")
@@ -363,22 +363,22 @@ def mk_op(
     argument's context, and an operator argument that ``mk_op`` built
     under ``sig`` has the sort it was checked at, over an equal context,
     or over any context when it is closed.  Any other argument is checked
-    down to such subterms.  The new node records (``sig``, ``ctx``, sort)
-    as its certificate: well-formedness depends only on these and the
+    down to such subterms.  The new node records (``sig``'s stamp, ``ctx``,
+    sort) as its certificate: well-formedness depends only on these and the
     term, all immutable, so it never goes stale.
     """
     ctx = ctx if type(ctx) is _Scope else tuple(ctx)
     t = Op(name, tuple(params), tuple(args))
-    sort = _walk(sig, t, ctx, _lookup, _check_args, _Scope, partial(_certified, sig))
-    t._cert = (sig, ctx, sort)
+    sort = _walk(sig, t, ctx, _lookup, _check_args, _Scope, partial(_certified, sig._stamp))
+    t._cert = (sig._stamp, ctx, sort)
     return t, sort
 
 
-def _certified(sig: Signature, scope: Context | _Scope, t: Term) -> Sort | None:
-    """The sort on ``t``'s certificate if it holds under ``sig`` over
-    ``scope``, else None: ``_walk``'s ``known`` for such checks."""
+def _certified(stamp: object, scope: Context | _Scope, t: Term) -> Sort | None:
+    """The sort on ``t``'s certificate if it holds under the signature of
+    ``stamp`` over ``scope``, else None: ``_walk``'s ``known`` for such checks."""
     cert = t._cert if type(t) is Op else None
-    if cert is None or cert[0] is not sig:
+    if cert is None or cert[0] is not stamp:
         return None
     return cert[2] if cert[1] is scope or cert[1] == scope or _loose_bound(t) == 0 else None
 

@@ -68,7 +68,7 @@ def test_term_model_fold_returns_its_input_certified(ulc, monkeypatch):
     ctx = (STAR,)
     t = Op("abs", (), (Op("app", (), (Var(0), Var(1))),))
     assert fold(m, ulc, ctx, t) is t
-    assert t._cert == (ulc, ctx, STAR) and t._cert[0] is ulc
+    assert t._cert == (ulc._stamp, ctx, STAR)
     v = Var(0)
     assert fold(m, ulc, ctx, v) is v
 
@@ -88,7 +88,7 @@ def test_term_model_fold_returns_its_input_certified(ulc, monkeypatch):
     assert fold(m, ulc, ctx, t) is t and checked == []
     # one that does not hold over the context is walked again
     assert fold(m, ulc, (STAR, STAR), t) is t and len(checked) == 2
-    assert t._cert == (ulc, (STAR, STAR), STAR)
+    assert t._cert == (ulc._stamp, (STAR, STAR), STAR)
 
 
 @pytest.mark.parametrize("kind", ["parts", "replace", "twin"])
@@ -539,6 +539,24 @@ def test_fold_memo_is_dropped_with_the_model(ulc, suite):
     del m
     gc.collect()
     assert gone() is None
+
+
+def test_term_model_folds_leave_the_signature_free_of_cycles():
+    # the suites fold the terms the signature's own memos hold, and each
+    # fold certifies the root it returns; a certificate names the signature
+    # by its stamp, so reference counting alone still frees the signature
+    gc.collect()
+    gc.disable()
+    try:
+        sig = builtin("ulc")
+        model, samples = term_model(sig), sample_suite(sig, depth=2)
+        for check in (check_monoid_laws, check_module_laws, check_morphism):
+            assert check(model, sig, samples).passed
+        assert all(s.term._cert is not None for s in samples if type(s.term) is Op)
+        del sig, model, samples, check
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fold_memo_stays_within_its_cap(ulc, monkeypatch):

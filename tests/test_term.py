@@ -140,12 +140,17 @@ def test_closed_certified_node_is_accepted_over_a_larger_context(fol, monkeypatc
     top, _ = mk_op(fol, (), "top")
     closed, _ = mk_op(fol, (), "neg", (), (top,))
 
-    def no_second_check(*args):
-        raise AssertionError("a certified closed node was checked again")
+    checked = []
 
-    monkeypatch.setattr(term_module, "_infer", no_second_check)
+    def spy(scope, node, arity, found):
+        checked.append(node)
+        return check_args(scope, node, arity, found)
+
+    check_args = term_module._check_args
+    monkeypatch.setattr(term_module, "_check_args", spy)
     t, sort = mk_op(fol, (STAR,), "forall", (), (closed,))  # its body is over (*, *)
     assert t == Op("forall", (), (Op("neg", (), (Op("top"),)),)) and sort == STAR
+    assert checked == [t]  # the certified closed node is not checked again
 
 
 def _rebuilt_with_mk_op(sig, ctx, t):
