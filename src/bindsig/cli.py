@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     _term_argument(p)
     p.set_defaults(run=_cmd_translate, needs_term=True)
 
-    p = sub.add_parser("fv", help="free-variable indices of an untyped term")
+    p = sub.add_parser("fv", help="free-variable indices of a term")
     p.add_argument("--sig", default="ulc")
     p.add_argument("--ctx", default="0")
     _term_argument(p)
@@ -237,7 +237,7 @@ def main(argv=None) -> int:
     except BindsigError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # a file that cannot be read as UTF-8
         print(f"io error: {e}", file=sys.stderr)
         return 2
     except (RecursionError, MemoryError, OverflowError) as e:

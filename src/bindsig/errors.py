@@ -63,7 +63,10 @@ class UnknownLabel(BindsigError):
 
 
 class TypedSignature(BindsigError):
-    """Operation requires a single-sorted (untyped) signature."""
+    """Operation requires a single-sorted (untyped) signature.
+
+    The library no longer raises it; it stays because the public API
+    exports it."""
 
 
 class MissingClause(BindsigError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from .errors import DuplicateName, UnknownLabel
-from .model import ModelSpec, fold
+from .model import ModelSpec
 from .sigdef import (
     ConstructorSchema,
     Input,
@@ -24,7 +24,7 @@ from .sigdef import (
     parse_signature_source,
     sum_signatures,
 )
-from .term import Context, Op, Term, Var
+from .term import Context, Op, Term, Var, _Scope, _walk
 
 __all__ = [
     "OpLabel",
@@ -125,8 +125,9 @@ def free_extend(
     """Universal extension of ``model`` along ``interp``.
 
     The fold of a term of the extended signature into ``model`` extended
-    with the label cases: a label node with children v_1 .. v_n evaluates
-    to msubst(interp[label], position i -> v_i).  Each interp[label] is
+    with the label cases: one walk of ``t`` in which a label node with
+    children v_1 .. v_n evaluates to msubst(interp[label], position i ->
+    v_i) and any other node to ``model.op_interp``.  Each interp[label] is
     trusted to be a model value over the label's input context; it is not
     checked.  On label-free terms this agrees with the plain fold.
     """
@@ -141,10 +142,10 @@ def free_extend(
             raise UnknownLabel(f"no interpretation for label {name!r}")
     msubst, op_interp = model.msubst, model.op_interp
 
-    def label_or_op(c: Context, name: str, params: tuple, vals: tuple) -> Any:
+    def label_or_op(c: Context, node: Op, arity, vals: list) -> Any:
+        name = node.name
         if name in inputs:
-            return msubst(inputs[name], c, interp[name], vals)
-        return op_interp(c, name, params, vals)
+            return msubst(inputs[name], c, interp[name], tuple(vals))
+        return op_interp(c, name, node.params, tuple(vals))
 
-    extended = ModelSpec(model.name, model.var_op, label_or_op, msubst, model.show)
-    return fold(extended, ext, ctx, t)
+    return _walk(ext, t, tuple(ctx), model.var_op, label_or_op, _Scope)

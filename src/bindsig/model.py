@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import TypedSignature
 from .rng import XorShift64Star
 from .sigdef import BaseSort, Signature, sorts_up_to_depth
 from .subst import Assignment, Renaming, rename, subst
@@ -83,7 +82,7 @@ class ModelSpec:
     op_interp: Callable[[Context, str, tuple, tuple], Any]
     msubst: Callable[[Context, Context, Any, tuple], Any]
     show: Callable[[Any], str] = repr
-    # One slot: (signature, fold function, {(ctx, t): (value, exception)}).
+    # One slot: (signature, fold function, {(ctx, t): value}).
     _folds: list = field(
         default_factory=lambda: [None], init=False, compare=False, repr=False, hash=False
     )
@@ -143,14 +142,13 @@ def term_model(sig: Signature) -> ModelSpec:
 
 
 def fv_model(sig: Signature) -> ModelSpec:
-    """Free-variable sets over an untyped signature.
+    """Free-variable sets over any signature.
 
     The named-set description (keep the variables of the ambient context)
     becomes drop-and-shift under de Bruijn: an input under k binders
-    contributes { i - k : i in U, i >= k }.
+    contributes { i - k : i in U, i >= k }.  Sorts play no part: a value
+    is a set of positions, whatever their sorts.
     """
-    if not sig.types.untyped:
-        raise TypedSignature("the free-variables model needs a single-sorted signature")
 
     def var_op(ctx, i):
         return frozenset((i,))
@@ -307,8 +305,6 @@ def sample_suite(
         pools = [
             enumerate_terms(sig, dst, s, assign_depth, max_sort_depth) for s in src
         ]
-        if any(not p for p in pools):
-            return []
         out = []
         for images in product(*pools):
             out.append(Assignment(src, dst, images))
@@ -323,8 +319,6 @@ def sample_suite(
         candidates = [
             [j for j, s in enumerate(dst) if s == entry] for entry in src
         ]
-        if any(not c for c in candidates):
-            return []
         for mapping in product(*candidates):
             out.append(Renaming(src, dst, mapping))
         return out
@@ -384,16 +378,17 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
     """Run one suite: ``laws(model, sig, sample, fold)`` yields (law, note,
     pair) per law instance, where ``pair()`` computes (lhs, rhs).
 
-    ``fold(ctx, t)`` folds each (ctx, t) once per model, memoising values
-    and raised exceptions: the fold out of the initial model is unique,
-    so its value depends only on the model, ``sig``, ``fold_fn`` and the
-    term, and every suite call on the model with the same ``sig`` and
-    ``fold_fn`` (by identity) shares the memo.  A call with another pair
-    starts a new one; the memo is cleared when it reaches ``_FOLDS_CAP``
-    entries, and is dropped with the model.  Failures, including
-    exceptions from ``pair`` (model code is arbitrary), are recorded,
-    never thrown; an exception from ``laws`` itself is one ``fold``
-    failure that ends the sample.
+    ``fold(ctx, t)`` folds each (ctx, t) once per model and memoises the
+    value: the fold out of the initial model is unique, so its value
+    depends only on the model, ``sig``, ``fold_fn`` and the term, and
+    every suite call on the model with the same ``sig`` and ``fold_fn``
+    (by identity) shares the memo.  A fold that raises is not memoised;
+    it raises afresh at each use.  A call with another pair starts a new
+    memo; the memo is cleared when it reaches ``_FOLDS_CAP`` entries, and
+    is dropped with the model.  Failures, including exceptions from
+    ``pair`` (model code is arbitrary), are recorded, never thrown; an
+    exception from ``laws`` itself is one ``fold`` failure that ends the
+    sample.
     """
     report = LawReport(f"{suite}:{model.name}")
     show = model.show
@@ -403,18 +398,13 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
     memo = held[2]
 
     def fold_once(ctx, t):
-        hit = memo.get((ctx, t))
-        if hit is None:
-            try:
-                hit = (fold_fn(model, sig, ctx, t), None)
-            except Exception as e:  # noqa: BLE001
-                hit = (None, e)
+        value = memo.get((ctx, t), memo)  # the memo itself marks a miss
+        if value is memo:
+            value = fold_fn(model, sig, ctx, t)
             if len(memo) >= _FOLDS_CAP:
                 memo.clear()
-            memo[ctx, t] = hit
-        if hit[1] is not None:  # without the frames of its earlier raises
-            raise hit[1].with_traceback(None)
-        return hit[0]
+            memo[ctx, t] = value
+        return value
 
     for sample in samples:
         try:
@@ -426,19 +416,12 @@ def _run_laws(suite: str, laws, model: ModelSpec, sig: Signature, samples, fold_
                         failure = LawFailure(law, _witness(sample) + note, show(lhs), show(rhs))
                         report.failures.append(failure)
                 except Exception as e:  # noqa: BLE001
-                    failure = LawFailure(law, _witness(sample) + note, _error(e), "")
+                    failure = LawFailure(law, _witness(sample) + note, f"<error: {e}>", "")
                     report.failures.append(failure)
         except Exception as e:  # noqa: BLE001
             report.cases += 1
-            report.failures.append(LawFailure("fold", _witness(sample), _error(e), ""))
+            report.failures.append(LawFailure("fold", _witness(sample), f"<error: {e}>", ""))
     return report
-
-
-def _error(e: Exception) -> str:
-    """An exception's text in a report.  Its frames are dropped: a memoised
-    one outlives the call, and would keep the call's frames alive."""
-    e.__traceback__ = None
-    return f"<error: {e}>"
 
 
 def _monoid_laws(model: ModelSpec, sig: Signature, sample: Sample, fold):

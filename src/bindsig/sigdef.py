@@ -337,12 +337,13 @@ class Signature:
     """A type system plus constructor schemas with pairwise-distinct names.
 
     Immutable after construction; the private cache only memoizes pure
-    lookups and is excluded from equality, hashing and pickling.
+    lookups and is excluded from equality, hashing and pickling; a
+    ``dataclasses.replace`` copy starts a memo of its own.
     """
 
     types: TypeSystem
     schemas: tuple[ConstructorSchema, ...]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False, hash=False)
     # Check certificates name the signature by its stamp: a cached term never refers back to it.
     _stamp: object = field(default_factory=object, init=False, compare=False, repr=False)
 

@@ -40,6 +40,28 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
+def not_utf8(tmp_path):
+    f = tmp_path / "latin1.sig"
+    f.write_bytes("signature s\n# caf\u00e9\nop app : (*, *) -> *\n".encode("latin-1"))
+    return f
+
+
+@pytest.mark.parametrize("command", ["check", "enum", "translate"])
+def test_file_not_in_utf8_is_an_io_error(tmp_path, capsys, command):
+    f = not_utf8(tmp_path)
+    if command == "check":
+        argv = ("check", str(f))
+    elif command == "enum":
+        argv = ("enum", "--sig", str(f), "--depth", "1")
+    else:  # a table in UTF-8 whose header names the signature file
+        table = tmp_path / "s2ulc.tbl"
+        table.write_text(f"translate {f} -> ulc\nclause app = (op app (ph 0) (ph 1))\n")
+        argv = ("translate", "--table", str(table), "(var 0)")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: 'utf-8' codec can't decode byte 0xe9") and err.count("\n") == 1
+
+
 def test_check_syntax_error(tmp_path, capsys):
     f = tmp_path / "bad.sig"
     f.write_text("signature bad\nop app : (* -> *\n")
@@ -143,9 +165,18 @@ def test_laws_fv_model(capsys):
     assert "morphism:fv" in out
 
 
-def test_laws_fv_on_typed_rejected(capsys):
-    code, _out, err = run(capsys, "laws", "--sig", "stlc", "--model", "fv", "--max-sort-depth", "1")
-    assert code == 1 and "TypedSignature" in err
+def test_laws_fv_on_typed_signature(capsys):
+    argv = ("laws", "--sig", "stlc", "--depth", "3", "--max-sort-depth", "1", "--format", "records")
+    code, out, err = run(capsys, *argv, "--model", "fv")
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [(r["suite"], r["cases"], r["status"]) for r in records] == [
+        ("monoid:fv", 456, "pass"),
+        ("module:fv", 118, "pass"),
+        ("morphism:fv", 350, "pass"),
+    ]
+    _code, term_out, _err = run(capsys, *argv)
+    assert out == term_out.replace(":term", ":fv")
 
 
 def test_laws_deterministic_given_seed(capsys):
@@ -177,6 +208,8 @@ def test_laws_records_format(capsys):
         ("--sig stlc --depth 3 --max-sort-depth 1", "f25a43c1d3f8"),
         ("--sig pcf --depth 2 --max-sort-depth 1", "8f9b4a45cb66"),
         ("--sig fol --depth 2 --model fv", "2537a6af60d3"),
+        ("--sig stlc --depth 3 --max-sort-depth 1 --model fv", "12387914c0f8"),
+        ("--sig pcf --depth 2 --max-sort-depth 1 --model fv", "f04910384514"),
     ],
 )
 def test_law_records_are_pinned(capsys, argv, digest):
@@ -299,6 +332,11 @@ def test_fv_example(capsys):
 def test_fv_closed(capsys):
     code, out, _ = run(capsys, "fv", "--ctx", "0", "(op abs (op abs (var 1)))")
     assert code == 0 and out.strip() == "{}"
+
+
+def test_fv_on_a_typed_signature(capsys):
+    code, out, err = run(capsys, "fv", "--sig", "pcf", "--ctx", "(ctx nat)", "(op abs<bool,nat> (var 1))")
+    assert (code, out, err) == (0, "{0}\n", "")
 
 
 def test_fv_ill_scoped_term(capsys):

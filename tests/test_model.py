@@ -32,7 +32,7 @@ from bindsig import (
     subst,
     term_model,
 )
-from bindsig.errors import ArityMismatch, IllFormed, ScopeError, SortMismatch, TypedSignature
+from bindsig.errors import ArityMismatch, IllFormed, ScopeError, SortMismatch
 from bindsig import model as model_module
 from bindsig import term as term_module
 from bindsig.model import run_law_suites
@@ -157,9 +157,24 @@ def test_models_see_tuple_like_contexts(stlc):
     assert seen[0] != seen[1] and seen[1] != root
 
 
-def test_fv_requires_untyped(stlc):
-    with pytest.raises(TypedSignature):
-        fv_model(stlc)
+@pytest.mark.parametrize("name, depth", [("stlc", 3), ("pcf", 2)])
+def test_fv_model_is_lawful_on_typed_signatures(name, depth):
+    # sorts play no part in a free-variable set: one model for every signature
+    sig = builtin(name)
+    samples = sample_suite(sig, depth=depth, max_sort_depth=1)
+    for check in (check_monoid_laws, check_module_laws, check_morphism):
+        report = check(fv_model(sig), sig, samples)
+        assert report.passed and report.cases == check(term_model(sig), sig, samples).cases > 0
+
+
+def test_fv_agrees_with_direct_recursion_on_stlc(stlc):
+    m, folded = fv_model(stlc), 0
+    for ctx in ((), (IOTA,), (ARR, IOTA), (IOTA, ARR, IOTA)):
+        for sort in (IOTA, ARR):
+            for t in enumerate_terms(stlc, ctx, sort, 4, 1):
+                assert fold(m, stlc, ctx, t) == frozenset(direct_free_vars(stlc, t))
+                folded += 1
+    assert folded > 1000
 
 
 def test_fv_agrees_with_direct_recursion(ulc):
@@ -458,8 +473,9 @@ def test_reports_of_models_that_raise(ulc, suite, make):
 
 
 def test_memoised_fold_errors_keep_short_tracebacks(ulc):
-    # A memoised fold error is raised again on every hit; each raise used to
-    # add its frames to the one stored exception (2 203 over this suite).
+    # A fold that raises is not memoised: it raises afresh at each use, with
+    # that use's frames only.  One stored exception raised again on every
+    # hit used to gather the frames of each raise (2 203 over this suite).
     m = term_model(ulc)
 
     def op_interp(ctx, name, params, vals):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from pathlib import Path
 
@@ -391,6 +392,18 @@ def test_builtin_returns_a_fresh_signature_with_a_cold_cache(name):
     fresh = builtin(name)
     assert fresh is not used and fresh == used
     assert fresh._cache == {}
+
+
+def test_replaced_copy_starts_a_memo_of_its_own():
+    # a dataclasses.replace copy shared the memo, and answered with the old arities
+    a = parse_signature("signature a\nop c : () -> *\n")
+    b = parse_signature("signature b\nop c : (*) -> *\n")
+    assert sort_of(a, (), Op("c")) == STAR
+    copy = dataclasses.replace(a, schemas=b.schemas)
+    for sig in (b, copy):
+        with pytest.raises(IllFormed, match=r"^c expects 1 argument\(s\), got 0$"):
+            sort_of(sig, (), Op("c"))
+    assert copy == b and copy._cache is not a._cache
 
 
 def test_readme_signature_example_is_the_builtin_ulc():
