@@ -24,7 +24,7 @@ from .sigdef import (
     parse_signature_source,
     sum_signatures,
 )
-from .term import Context, Op, Term, Var, _Scope, _walk
+from .term import Context, Op, Term, Var, _walk
 
 __all__ = [
     "OpLabel",
@@ -148,4 +148,4 @@ def free_extend(
             return msubst(inputs[name], c, interp[name], tuple(vals))
         return op_interp(c, name, node.params, tuple(vals))
 
-    return _walk(ext, t, tuple(ctx), model.var_op, label_or_op, _Scope)
+    return _walk(ext, t, tuple(ctx), model.var_op, label_or_op)

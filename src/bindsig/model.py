@@ -25,9 +25,7 @@ from .term import (
     Op,
     Term,
     Var,
-    _Scope,
-    _certified,
-    _infer,
+    _certify,
     _walk,
     enumerate_terms,
     mk_op,
@@ -97,20 +95,18 @@ def fold(model: ModelSpec, sig: Signature, ctx: Context, t: Term) -> Any:
     """The unique structure map: variables to var_op, nodes to op_interp.
 
     Into :func:`term_model`'s model for this very ``sig`` object it is the
-    identity: ``t`` comes back checked, its root certified as by ``mk_op``.
+    identity: ``t`` comes back checked, its root certified by the term
+    checker's ``_certify``, as :func:`mk_op` certifies the node it builds.
     """
     if model._term_of is sig:  # the term model is initial
-        ctx = tuple(ctx)
-        sort = _certified(sig._stamp, ctx, t) or _infer(sig, ctx, t)
-        if type(t) is Op:
-            t._cert = (sig._stamp, ctx, sort)
+        _certify(sig, ctx, t)
         return t
     op_interp = model.op_interp
 
     def node(ctx, t, arity, vals):
         return op_interp(ctx, t.name, t.params, tuple(vals))
 
-    return _walk(sig, t, tuple(ctx), model.var_op, node, _Scope)
+    return _walk(sig, t, tuple(ctx), model.var_op, node)
 
 
 def term_model(sig: Signature) -> ModelSpec:
@@ -126,7 +122,7 @@ def term_model(sig: Signature) -> ModelSpec:
     """
 
     def var_op(ctx, i):
-        if 0 <= i < len(ctx):
+        if type(i) is int and 0 <= i < len(ctx):
             return Var(i)
         return mk_var(ctx, i)[0]  # raises ScopeError
 

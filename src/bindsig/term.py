@@ -22,10 +22,10 @@ substitution can return untouched subterms as they are; an operator
 computes its bound on first use and keeps it.  Instances are immutable
 by contract, so ``copy.copy`` and ``copy.deepcopy`` give them back as
 they are; nothing in the library mutates them beyond filling in that
-hash and bound, and beyond the check certificate :func:`mk_op` writes on
-the node it has just built, and a fold into the term model on the root
-it returns, each after running the term checker.  ``pickle`` writes
-none of the three.
+hash and bound, and beyond the check certificate that ``_certify``, its
+only writer, puts on an operator after running the term checker on it:
+for :func:`mk_op` on the node it has just built, for a fold into the
+term model on the root it returns.  ``pickle`` writes none of the three.
 The walks that need no signature (hash, bound, ``term_depth``, pickling,
 and the translator's template resolution) are loops over one kernel,
 ``_post_order``: each distinct operator once, after its arguments.
@@ -128,7 +128,7 @@ class Var(Term):
 
 class Op(Term):
     # _hash and _bound are None until first use; _cert is (signature stamp,
-    # context, sort) on a node mk_op built or a term-model fold checked, else None.
+    # context, sort) on a node _certify checked, else None.
     __slots__ = ("name", "params", "args", "_hash", "_bound", "_cert")
     __match_args__ = ("name", "params", "args")
 
@@ -184,7 +184,7 @@ class Op(Term):
         nodes, at = [], {}  # id -> position in nodes
         for x in _post_order(self, lambda a: id(a) in at):
             at[id(x)] = len(nodes)
-            nodes.append((x.name, x.params, tuple(at.get(id(a), a) for a in x.args)))
+            nodes.append((x.name, x.params, tuple(at.get(id(a), (a,)) for a in x.args)))
         return _rebuilt, (nodes,)
 
     def __repr__(self):
@@ -247,10 +247,10 @@ def _fill_hash(t: Op) -> int:
 
 def _rebuilt(nodes: list) -> Op:
     """The term ``Op.__reduce__`` wrote: one (name, params, args) per node,
-    post-order, an argument an int position in ``nodes`` or a leaf."""
+    post-order, an argument an int position in ``nodes`` or a leaf ``(a,)``."""
     built = []
     for name, params, args in nodes:
-        built.append(Op(name, params, tuple(built[a] if type(a) is int else a for a in args)))
+        built.append(Op(name, params, tuple(built[a] if type(a) is int else a[0] for a in args)))
     return built[-1]
 
 
@@ -314,6 +314,8 @@ class _Scope(Sequence):
 def _lookup(ctx: Context | _Scope, i: int) -> Sort:
     """Entry ``i`` of a context, down its scope chain or, for an entry of
     the chain's root, in the root at once; ScopeError if none."""
+    if type(i) is not int:
+        raise ScopeError(f"variable index {i!r} is not an int")
     scope, j = ctx, i
     if type(scope) is _Scope and i >= scope.inner:
         scope, j = scope.root, i - scope.inner
@@ -340,8 +342,7 @@ def ctx_extend(ctx: Sequence[Sort], bound: Sequence[Sort], types: TypeSystem | N
     Pass ``types`` to have the bound sorts validated.
     """
     if types is not None:
-        for s in bound:
-            check_sort(types, s)
+        bound = check_context(types, bound)
     return tuple(bound) + tuple(ctx)
 
 
@@ -358,20 +359,27 @@ def mk_op(
 ) -> tuple[Term, Sort]:
     """Checked construction of an operator node; returns it with its sort.
 
-    The check is the term checker's walk of the new node, which stops at
-    certified arguments: a variable argument's sort is its entry in the
-    argument's context, and an operator argument that ``mk_op`` built
-    under ``sig`` has the sort it was checked at, over an equal context,
-    or over any context when it is closed.  Any other argument is checked
-    down to such subterms.  The new node records (``sig``'s stamp, ``ctx``,
-    sort) as its certificate: well-formedness depends only on these and the
-    term, all immutable, so it never goes stale.
+    The node is built and then certified by :func:`_certify`, whose walk
+    stops at certified arguments: a variable argument's sort is its entry
+    in the argument's context, and an operator argument certified under
+    ``sig`` has the sort it was checked at, over an equal context, or over
+    any context when it is closed.  Any other argument is checked down to
+    such subterms.
     """
-    ctx = ctx if type(ctx) is _Scope else tuple(ctx)
     t = Op(name, tuple(params), tuple(args))
-    sort = _walk(sig, t, ctx, _lookup, _check_args, _Scope, partial(_certified, sig._stamp))
-    t._cert = (sig._stamp, ctx, sort)
-    return t, sort
+    return t, _certify(sig, ctx, t, partial(_certified, sig._stamp))
+
+
+def _certify(sig: Signature, ctx: Sequence[Sort] | _Scope, t: Term, known=None) -> Sort:
+    """The sort of ``t`` over ``ctx``: its certificate's if that holds, else
+    one term-checker walk's (``known`` as in :func:`_walk`).  An operator ``t``
+    then records (``sig``'s stamp, ``ctx``, sort) as its certificate, which
+    never goes stale: all are immutable.  Certificates have no other writer."""
+    ctx = ctx if type(ctx) is _Scope else tuple(ctx)
+    sort = _certified(sig._stamp, ctx, t) or _walk(sig, t, ctx, _lookup, _check_args, known=known)
+    if type(t) is Op:
+        t._cert = (sig._stamp, ctx, sort)
+    return sort
 
 
 def _certified(stamp: object, scope: Context | _Scope, t: Term) -> Sort | None:
@@ -406,17 +414,18 @@ def _loose_bound(t: Term) -> int:
     return bound
 
 
-def _walk(sig: Signature, t: Term, env, var, node, under, known=None):
+def _walk(sig: Signature, t: Term, env, var, node, under=_Scope, known=None):
     """Post-order traversal of ``t``: the one recursion principle.
 
     ``var(env, i)`` gives the value of variable i; ``node(env, t, arity,
     vals)`` combines the operator ``t`` with its arguments' values, in
-    argument order; ``under(env, bound)`` gives the environment of an
-    argument that binds ``bound``.  ``known(env, arg)``, when given, is
-    asked first for each argument: a result other than None is the
-    argument's value, and the walk does not enter it.  The walk keeps one
-    frame per operator node on an explicit stack, so terms may be deeper
-    than the Python stack; variable arguments are evaluated in place.
+    argument order; ``under(env, bound)``, by default the checker's scope,
+    gives the environment of an argument that binds ``bound``.
+    ``known(env, arg)``, when given, is asked first for each argument: a
+    result other than None is the argument's value, and the walk does not
+    enter it.  The walk keeps one frame per operator node on an explicit
+    stack, so terms may be deeper than the Python stack; variable arguments
+    are evaluated in place.
     """
     if type(t) is Var:
         return var(env, t.index)
@@ -471,14 +480,10 @@ def _check_args(scope, t: Op, arity, found) -> Sort:
     return arity.output
 
 
-def _infer(sig: Signature, ctx: Context | _Scope, t: Term, known=None) -> Sort:
-    return _walk(sig, t, ctx, _lookup, _check_args, _Scope, known)
-
-
 def sort_of(sig: Signature, ctx: Sequence[Sort], t: Term) -> Sort:
     """The unique sort at which ``t`` checks; IllFormed otherwise."""
     try:
-        return _infer(sig, tuple(ctx), t)
+        return _walk(sig, t, tuple(ctx), _lookup, _check_args)
     except BindsigError as e:
         raise IllFormed(str(e)) from e
 
@@ -520,10 +525,6 @@ def instantiations(
     (unless the sort grammar itself is finite and no nat parameter occurs).
     """
     schema = sig.schema(schema_name)
-    key = ("insts", schema_name, max_sort_depth)
-    hit = sig._cache.get(key)
-    if hit is not None:
-        return hit
     pools = []
     for p in schema.params:
         if p.kind == "sort":
@@ -538,9 +539,7 @@ def instantiations(
                     f"schema {schema_name} has a nat parameter; pass a sort-depth bound"
                 )
             pools.append(list(range(max_sort_depth + 1)))
-    out = tuple((args, sig.arity(schema_name, args)) for args in product(*pools))
-    sig._cache[key] = out
-    return out
+    return tuple((args, sig.arity(schema_name, args)) for args in product(*pools))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from .term import (
     _lookup,
     _post_order,
     _read_term,
-    _Scope,
     _walk,
 )
 
@@ -234,7 +233,7 @@ def _clause_at(table: TranslationTable, name: str, source_params: tuple):
         clause = _resolve(template, values)
         # A clause is a closed target term but for its placeholders.
         sort, root = placeholder((), clause) or _walk(
-            table.target, clause, (), var, node, _Scope, placeholder
+            table.target, clause, (), var, node, known=placeholder
         )
         expected = g.apply(arity.output)
         if sort != expected:

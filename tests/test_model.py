@@ -235,6 +235,9 @@ def test_fv_substitution_identity(ulc):
         ("ulc", (STAR,), Op("abs", (), (Op("app", (), (Var(0),)),)), ArityMismatch),
         # a root variable reaches var_op alone
         ("ulc", (), Var(3), ScopeError),
+        # an index is an int, never a bool or a float
+        ("ulc", (STAR, STAR), Var(True), ScopeError),
+        ("ulc", (STAR,), Op("abs", (), (Var(1.0),)), ScopeError),
     ],
 )
 def test_term_model_fold_rejects_ill_formed_terms_like_sort_of(sig_name, ctx, term, cause):

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import sys
 import threading
 from functools import partial
@@ -113,6 +114,20 @@ def test_mk_op_scope_error_propagates(ulc):
 def test_mk_op_arity_checked(ulc):
     with pytest.raises(ArityMismatch):
         mk_op(ulc, (STAR,), "app", (), (Var(0),))
+
+
+@pytest.mark.parametrize("index", [True, False, 1.0, 0.0])
+def test_variable_index_must_be_an_int(ulc, index):
+    # True == 1 and 1.0 == 1 passed as positions: (op abs (var True)) was
+    # certified, and its text did not read back; 1.0 raised a TypeError.
+    with pytest.raises(ScopeError, match="is not an int"):
+        mk_op(ulc, (), "abs", (), (Var(index),))
+    with pytest.raises(ScopeError, match="is not an int"):
+        mk_var((STAR, STAR), index)
+    with pytest.raises(ScopeError, match="is not an int"):
+        term_model(ulc).var_op((STAR, STAR), index)
+    with pytest.raises(IllFormed, match="is not an int"):
+        sort_of(ulc, (STAR, STAR), Var(index))
 
 
 # mk_op trusts the certificate of a node it built only under the same
@@ -414,6 +429,56 @@ def test_unhashable_value_inside_a_term_is_reported_at_first_hash_or_walk(ulc):
         sort_of(ulc, (STAR,), bad_param)
     with pytest.raises(IllFormed):
         sort_of(ulc, (STAR,), bad_arg)
+
+
+@pytest.mark.parametrize(
+    "t", [Op("f", (), (Op("a"), 0)), Op("f", (), (5,)), Op("f", (), (Op("a"), True, -1, 1.0))]
+)
+def test_int_leaves_pickle_as_themselves(t):
+    # an int argument read back as a position among the pickled nodes:
+    # (Op("a"), 0) loaded as (Op("a"), Op("a")), and (5,) raised IndexError
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and [type(a) for a in back.args] == [type(a) for a in t.args]
+
+
+_LEAVES = [0, 1, True, -1, None, "s", Placeholder(0), Var(0), Var(2)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_pickle_round_trip_keeps_terms_and_their_sharing(data):
+    # Built bottom-up, an argument either a leaf or any operator built
+    # before, so subterms are shared; printable draws have variables only.
+    printable = data.draw(st.booleans())
+    leaves = st.sampled_from([Var(0), Var(1), Var(5)] if printable else _LEAVES)
+    pool = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        args = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            if pool and data.draw(st.booleans()):
+                args.append(pool[data.draw(st.integers(0, len(pool) - 1))])
+            else:
+                args.append(data.draw(leaves))
+        params = data.draw(st.sampled_from([(), (2,), (IOTA,), (ARROW_II, 0)]))
+        pool.append(Op(data.draw(st.sampled_from("fgh")), params, tuple(args)))
+    t = pool[-1]
+    back = pickle.loads(pickle.dumps(t))
+    assert back is not t and back == t and hash(back) == hash(t)
+    if printable:
+        assert print_term(back) == print_term(t)
+    # the original and its copy have the same shape, node for node: a node
+    # shared in one is shared in the other, and leaves keep their types
+    there, back_again, todo = {}, {}, [(t, back)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not Op:
+            assert type(y) is type(x) and y == x
+        elif id(x) in there:
+            assert there[id(x)] is y and back_again[id(y)] is x
+        else:
+            assert type(y) is Op and id(y) not in back_again
+            there[id(x)], back_again[id(y)] = y, x
+            todo += zip(x.args, y.args)
 
 
 def test_sort_of_var(ulc):
